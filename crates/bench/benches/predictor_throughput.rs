@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use predbranch_core::{
-    build_predictor, build_predictor_stack, BranchInfo, HarnessConfig, InsertFilter,
-    PredictionHarness, PredictorSpec, Timing,
+    build_predictor, BranchInfo, HarnessConfig, InsertFilter, PredictionHarness, PredictorSpec,
+    Timing,
 };
 use predbranch_sim::{
     Event, EventSink, Executor, PredicateScoreboard, TraceSink, EVENT_BATCH_CAPACITY,
@@ -77,9 +77,9 @@ fn bench_predictors(c: &mut Criterion) {
 }
 
 /// Harness replay throughput over the recorded stream, crossing retire
-/// latency (immediate 0 vs the study's realistic 8) with dispatch
-/// (boxed trait object, per-event delivery vs enum stack, batched
-/// delivery) — the four corners `experiments bench` summarizes.
+/// latency (immediate 0 vs the study's realistic 8) with event delivery
+/// (one `event` call per event vs `EVENT_BATCH_CAPACITY`-sized
+/// batches).
 fn bench_harness_replay(c: &mut Criterion) {
     let events = recorded_events();
     let branches = events
@@ -100,7 +100,7 @@ fn bench_harness_replay(c: &mut Criterion) {
     group.throughput(Throughput::Elements(branches));
     for retire in [0u64, 8] {
         group.bench_with_input(
-            BenchmarkId::new("dyn_per_event", retire),
+            BenchmarkId::new("per_event", retire),
             &retire,
             |b, &retire| {
                 b.iter(|| {
@@ -115,12 +115,12 @@ fn bench_harness_replay(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("enum_batched", retire),
+            BenchmarkId::new("batched", retire),
             &retire,
             |b, &retire| {
                 b.iter(|| {
                     let mut harness =
-                        PredictionHarness::new(build_predictor_stack(&spec), config(retire));
+                        PredictionHarness::new(build_predictor(&spec), config(retire));
                     for chunk in events.chunks(EVENT_BATCH_CAPACITY) {
                         harness.events(chunk);
                     }

@@ -75,10 +75,9 @@ fn bench_live_vs_replay(c: &mut Criterion) {
 }
 
 /// Gang replay over live passes: one functional simulation feeding a
-/// small lane matrix against one simulation per lane — the sweep
-/// runner's default versus its `--gang off` escape hatch, in miniature.
+/// small lane matrix through one multi-lane harness, against one
+/// simulation per one-lane harness.
 fn bench_gang_vs_per_cell(c: &mut Criterion) {
-    use predbranch_core::{build_predictor_stack, GangHarness};
     use predbranch_sim::Event;
 
     let (program, memory, _, summary) = fixture();
@@ -101,10 +100,8 @@ fn bench_gang_vs_per_cell(c: &mut Criterion) {
             specs
                 .iter()
                 .map(|spec| {
-                    let mut harness = PredictionHarness::new(
-                        build_predictor_stack(spec),
-                        HarnessConfig::default(),
-                    );
+                    let mut harness =
+                        PredictionHarness::new(build_predictor(spec), HarnessConfig::default());
                     let summary = Executor::new(&program, memory.clone()).run_batched(
                         &mut harness,
                         BUDGET,
@@ -120,9 +117,10 @@ fn bench_gang_vs_per_cell(c: &mut Criterion) {
 
     group.bench_function("ganged/gzip-4-lanes", |b| {
         b.iter(|| {
-            let mut gang = GangHarness::new();
-            for spec in &specs {
-                gang.push_lane(build_predictor_stack(spec), HarnessConfig::default());
+            let mut gang =
+                PredictionHarness::new(build_predictor(&specs[0]), HarnessConfig::default());
+            for spec in &specs[1..] {
+                gang.push_lane(build_predictor(spec), HarnessConfig::default());
             }
             let mut buffer: Vec<Event> = Vec::new();
             let summary =

@@ -1,70 +1,32 @@
-//! `experiments bench` — the machine-readable replay-throughput
-//! baseline.
+//! `experiments bench` — the machine-readable trace-serving
+//! throughput report.
 //!
-//! Records one benchmark's event stream into an in-memory trace file,
-//! then times the two replay pipelines the runner has shipped:
-//!
-//! * **dyn** — the pre-refactor pipeline: every replay decodes the
-//!   trace bytes again ([`TraceReader::replay_per_event`]) and delivers
-//!   one [`EventSink::event`] call per event into a harness around
-//!   `Box<dyn BranchPredictor>`;
-//! * **enum** — the current pipeline in its steady state: the trace is
-//!   decoded once (the [`predbranch_trace::TraceCache`] memo does this
-//!   across a whole sweep) and every replay delivers
-//!   [`EVENT_BATCH_CAPACITY`]-sized chunks through
-//!   [`EventSink::events`] into a harness around the
-//!   statically-dispatched [`predbranch_core::PredictorStack`]. The
-//!   one-time decode runs in the warmup pass, exactly as a sweep pays
-//!   it once for dozens of replays.
-//!
-//! Every (config, retire latency) point is measured under both
-//! pipelines in the same process on the same logical stream, the
-//! prediction metrics are asserted identical (the refactor's
-//! byte-identical contract), and the result is written as
-//! `BENCH_7.json` so the perf trajectory accrues in CI.
-//!
-//! The report's second section measures **gang replay** — the default
-//! sweep path since the gang refactor. A cache-less sweep used to pay
-//! one full functional simulation per predictor config; ganging pays
-//! one simulation per *event stream* and fans each batch into every
-//! lane of a [`GangHarness`]. The bench times a sweep-sized lane
-//! matrix both ways on a live executor pass, asserts the per-lane
-//! metrics identical, and reports the one-pass-over-per-cell speedup.
-//!
-//! The third section measures **trace serving** — the zero-copy `.pbtd`
-//! refactor. A sweep whose stream count exceeds the decoded memo's
-//! capacity thrashes it: with sidecars disabled every replay pays a
-//! full varint decode plus checksum pass (the *cold-memo* case the memo
-//! was never sized for). The bench records [`SERVE_STREAMS`] distinct
-//! streams into an on-disk [`TraceCache`] (more than
-//! [`DECODED_MEMO_CAPACITY`] slots), replays the whole matrix
-//! round-robin under both serving modes, asserts the per-stream
-//! metrics identical, and reports the segment-over-decode speedup.
+//! It measures **trace serving** — the zero-copy `.pbtd` path. A sweep
+//! whose stream count exceeds the decoded memo's capacity thrashes it:
+//! with sidecars disabled every replay pays a full varint decode plus
+//! checksum pass (the *cold-memo* case the memo was never sized for).
+//! The bench records [`SERVE_STREAMS`] distinct streams into an on-disk
+//! [`TraceCache`] (more than [`DECODED_MEMO_CAPACITY`] slots), replays
+//! the whole matrix round-robin under both serving modes, asserts the
+//! per-stream metrics identical, and reports the segment-over-decode
+//! speedup. The result is written as `BENCH_7.json`.
 
 use std::time::Instant;
 
 use predbranch_core::{
-    build_predictor, build_predictor_stack, GangHarness, HarnessConfig, InsertFilter,
-    PredictionHarness, PredictorSpec, Timing,
+    build_predictor, HarnessConfig, InsertFilter, PredictionHarness, PredictorSpec, Timing,
 };
-use predbranch_sim::{Event, EventSink, Executor, TraceSink, EVENT_BATCH_CAPACITY};
+use predbranch_sim::TraceSink;
 use predbranch_sweep::Json;
-use predbranch_trace::{
-    program_hash, CacheKey, TraceCache, TraceHeader, TraceReader, TraceWriter,
-    DECODED_MEMO_CAPACITY,
-};
-use predbranch_workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
+use predbranch_trace::{CacheKey, TraceCache, DECODED_MEMO_CAPACITY};
+use predbranch_workloads::{compile_benchmark, suite, Benchmark, CompileOptions, EVAL_SEED};
 
 use crate::runner::DEFAULT_LATENCY;
 
-/// Retire latencies the baseline covers: idealized immediate update and
-/// the realistic 8-slot delay used throughout the study.
-pub const RETIRE_LATENCIES: [u64; 2] = [0, 8];
+/// Schema tag of the JSON report.
+const SCHEMA: &str = "predbranch-bench/v4";
 
-/// The config whose dyn→enum speedup is the acceptance headline.
-pub const HEADLINE_CONFIG: &str = "gshare+sfpf+pgu";
-
-/// Instruction budget for every live executor pass the bench times.
+/// Instruction budget for every recorded stream.
 const BENCH_BUDGET: u64 = 4_000_000;
 
 /// Streams in the trace-serving matrix. Deliberately larger than
@@ -76,55 +38,6 @@ pub const SERVE_STREAMS: usize = 12;
 // the cold-memo claim only means something if a round-robin pass
 // genuinely cannot fit: every replay must miss
 const _: () = assert!(SERVE_STREAMS > DECODED_MEMO_CAPACITY);
-
-/// One measured (config, retire latency) point: both pipelines, same
-/// event stream, same process.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchPoint {
-    /// Human label of the predictor configuration.
-    pub config: &'static str,
-    /// Harness retire latency in fetch slots.
-    pub retire_latency: u64,
-    /// Conditional branches per second, decode-every-replay per-event
-    /// dyn pipeline.
-    pub dyn_branches_per_sec: f64,
-    /// Conditional branches per second, decode-once batched enum
-    /// pipeline.
-    pub enum_branches_per_sec: f64,
-    /// Conditional-branch mispredictions (identical on both paths).
-    pub mispredictions: u64,
-}
-
-impl BenchPoint {
-    /// enum over dyn throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.enum_branches_per_sec / self.dyn_branches_per_sec
-    }
-}
-
-/// One measured gang point: the whole lane matrix at one retire
-/// latency, per-cell (one live functional simulation per lane — the
-/// pre-gang sweep) against ganged (one simulation feeding every lane).
-#[derive(Debug, Clone, Copy)]
-pub struct GangPoint {
-    /// Harness retire latency in fetch slots.
-    pub retire_latency: u64,
-    /// Predicted conditional branches per second across the matrix,
-    /// one live executor pass per lane.
-    pub per_cell_branches_per_sec: f64,
-    /// The same work with one live executor pass feeding every lane.
-    pub ganged_branches_per_sec: f64,
-    /// Conditional-branch mispredictions summed over the lane matrix
-    /// (asserted identical on both paths).
-    pub mispredictions: u64,
-}
-
-impl GangPoint {
-    /// ganged over per-cell throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.ganged_branches_per_sec / self.per_cell_branches_per_sec
-    }
-}
 
 /// The measured trace-serving point: a stream matrix larger than the
 /// decoded memo, replayed round-robin through the same on-disk
@@ -155,176 +68,18 @@ impl ServePoint {
     }
 }
 
-/// A complete baseline: the recorded stream's shape plus every point.
+/// A complete report: the measured stream's benchmark plus the
+/// trace-serving point.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Benchmark the event stream was recorded from.
+    /// Benchmark the event streams were recorded from.
     pub benchmark: String,
-    /// Whether the quick (reduced-tiling) stream was used.
+    /// Whether the quick (fewer iterations) mode was used.
     pub quick: bool,
-    /// Timed iterations per (config, retire, pipeline) point.
+    /// Timed iterations per serving mode.
     pub iterations: u32,
-    /// Events in the recorded stream.
-    pub events: u64,
-    /// Conditional branches in the recorded stream.
-    pub conditional_branches: u64,
-    /// Every measured point.
-    pub points: Vec<BenchPoint>,
-    /// Predictor lanes in the gang matrix.
-    pub gang_lanes: usize,
-    /// The gang-vs-per-cell measurements, one per retire latency.
-    pub gang_points: Vec<GangPoint>,
     /// The cold-memo trace-serving measurement.
     pub serving: ServePoint,
-}
-
-/// The headline predictor configs, in report order.
-fn configs() -> Vec<(&'static str, PredictorSpec)> {
-    let base = PredictorSpec::Gshare {
-        index_bits: 13,
-        history_bits: 13,
-    };
-    vec![
-        ("gshare", base.clone()),
-        ("gshare+sfpf", base.clone().with_sfpf()),
-        ("gshare+pgu", base.clone().with_pgu(8)),
-        (HEADLINE_CONFIG, base.with_sfpf().with_pgu(8)),
-    ]
-}
-
-/// The gang lane matrix: a sweep-sized grid of classic configs — a
-/// gshare budget ladder plus the paper's predicate structures at two
-/// budgets. Matches the shape (not the exact membership) of the grids
-/// the experiment modules sweep over one shared event stream.
-fn gang_lane_specs() -> Vec<(&'static str, PredictorSpec)> {
-    let g = |bits: u32| PredictorSpec::Gshare {
-        index_bits: bits,
-        history_bits: bits,
-    };
-    vec![
-        ("gshare:8", g(8)),
-        ("gshare:9", g(9)),
-        ("gshare:10", g(10)),
-        ("gshare:11", g(11)),
-        ("gshare:12", g(12)),
-        ("gshare:13", g(13)),
-        ("gshare:10+sfpf", g(10).with_sfpf()),
-        ("gshare:10+pgu", g(10).with_pgu(8)),
-        ("gshare:10+sfpf+pgu", g(10).with_sfpf().with_pgu(8)),
-        ("gshare:13+sfpf", g(13).with_sfpf()),
-        ("gshare:13+pgu", g(13).with_pgu(8)),
-        ("gshare:13+sfpf+pgu", g(13).with_sfpf().with_pgu(8)),
-    ]
-}
-
-fn harness_config(retire: u64) -> HarnessConfig {
-    HarnessConfig {
-        timing: Timing::new(DEFAULT_LATENCY, retire),
-        insert: InsertFilter::All,
-    }
-}
-
-/// The recorded fixture both pipelines replay: the benchmark's name,
-/// the sealed trace bytes (what the dyn pipeline decodes every
-/// iteration), and the decoded event vector (what the enum pipeline's
-/// memo serves). Reader/writer round-trips are lossless, so the two
-/// are the same stream in different representations.
-struct Fixture {
-    benchmark: String,
-    bytes: Vec<u8>,
-    events: Vec<Event>,
-}
-
-/// Records the first suite benchmark's event stream once, then tiles
-/// it with strictly increasing instruction indices into a long,
-/// deterministic stream whose per-point timing is well above the noise
-/// floor (the raw run is only ~50k events, a couple of milliseconds
-/// per replay), and seals it as an in-memory trace file.
-fn fixture(quick: bool) -> Fixture {
-    let bench = &suite()[0];
-    let compiled = compile_benchmark(bench, &CompileOptions::default());
-    let program = compiled.predicated;
-    let mut trace = TraceSink::new();
-    let summary = Executor::new(&program, bench.input(EVAL_SEED)).run(&mut trace, 4_000_000);
-    assert!(summary.halted, "bench workload did not halt within budget");
-    let base = trace.events();
-    let copies = if quick { 8 } else { 40 };
-    let span = base.last().map_or(0, Event::index) + 64;
-
-    let header = TraceHeader::new(
-        bench.name(),
-        program_hash(&program),
-        EVAL_SEED,
-        span * copies,
-    );
-    let mut writer = TraceWriter::new(Vec::new(), &header).expect("in-memory trace");
-    let mut events = Vec::with_capacity(base.len() * copies as usize);
-    for k in 0..copies {
-        let offset = k * span;
-        for event in base {
-            let shifted = match *event {
-                Event::Branch(mut b) => {
-                    b.index += offset;
-                    Event::Branch(b)
-                }
-                Event::PredWrite(mut w) => {
-                    w.index += offset;
-                    Event::PredWrite(w)
-                }
-            };
-            writer.record(&shifted);
-            events.push(shifted);
-        }
-    }
-    // the tiled stream's summary: every per-run count scales linearly
-    let tiled_summary = predbranch_sim::RunSummary {
-        instructions: span * copies,
-        branches: summary.branches * copies,
-        conditional_branches: summary.conditional_branches * copies,
-        region_branches: summary.region_branches * copies,
-        taken_conditional: summary.taken_conditional * copies,
-        pred_writes: summary.pred_writes * copies,
-        halted: true,
-    };
-    let bytes = writer.finish(&tiled_summary).expect("in-memory trace");
-    Fixture {
-        benchmark: bench.name().to_string(),
-        bytes,
-        events,
-    }
-}
-
-/// One replay through the pre-refactor pipeline: decode the sealed
-/// trace bytes and deliver per-event into a boxed trait-object
-/// predictor.
-fn replay_dyn(
-    bytes: &[u8],
-    spec: &PredictorSpec,
-    retire: u64,
-) -> predbranch_core::PredictionMetrics {
-    let mut harness = PredictionHarness::new(build_predictor(spec), harness_config(retire));
-    TraceReader::new(bytes)
-        .expect("sealed fixture header")
-        .replay_per_event(&mut harness)
-        .expect("sealed fixture replays");
-    harness.finish();
-    *harness.metrics()
-}
-
-/// One replay through the current pipeline's steady state: the
-/// already-decoded (memoized) stream delivered in batches to the
-/// statically-dispatched stack.
-fn replay_enum(
-    events: &[Event],
-    spec: &PredictorSpec,
-    retire: u64,
-) -> predbranch_core::PredictionMetrics {
-    let mut harness = PredictionHarness::new(build_predictor_stack(spec), harness_config(retire));
-    for chunk in events.chunks(EVENT_BATCH_CAPACITY) {
-        harness.events(chunk);
-    }
-    harness.finish();
-    *harness.metrics()
 }
 
 /// Times `iterations` runs of `f`, returning the last run's result
@@ -343,81 +98,6 @@ fn time_passes<T, F: FnMut() -> T>(iterations: u32, mut f: F) -> (T, f64) {
     (result, best)
 }
 
-/// Measures the gang matrix both ways on live executor passes: the
-/// pre-gang sweep (one functional simulation per lane) against the
-/// ganged default (one simulation whose batches feed every lane).
-///
-/// # Panics
-///
-/// Panics if any lane's metrics differ between the two paths — gang
-/// replay must be observationally invisible.
-fn run_gang_matrix(quick: bool) -> (usize, Vec<GangPoint>) {
-    let bench = &suite()[0];
-    let compiled = compile_benchmark(bench, &CompileOptions::default());
-    let program = compiled.predicated;
-    let lanes = gang_lane_specs();
-    let iterations: u32 = if quick { 3 } else { 10 };
-
-    // the stream's shape, from one untimed pass
-    let mut sink = TraceSink::new();
-    let summary = Executor::new(&program, bench.input(EVAL_SEED)).run(&mut sink, BENCH_BUDGET);
-    assert!(summary.halted, "bench workload did not halt within budget");
-    let grid_branches = (summary.conditional_branches * lanes.len() as u64) as f64;
-
-    let mut points = Vec::new();
-    for retire in RETIRE_LATENCIES {
-        let per_cell_pass = || -> Vec<predbranch_core::PredictionMetrics> {
-            lanes
-                .iter()
-                .map(|(_, spec)| {
-                    let mut harness =
-                        PredictionHarness::new(build_predictor_stack(spec), harness_config(retire));
-                    let mut buffer = Vec::new();
-                    let summary = Executor::new(&program, bench.input(EVAL_SEED)).run_batched(
-                        &mut harness,
-                        BENCH_BUDGET,
-                        &mut buffer,
-                    );
-                    assert!(summary.halted);
-                    harness.finish();
-                    *harness.metrics()
-                })
-                .collect()
-        };
-        let ganged_pass = || -> Vec<predbranch_core::PredictionMetrics> {
-            let mut gang = GangHarness::new();
-            for (_, spec) in &lanes {
-                gang.push_lane(build_predictor_stack(spec), harness_config(retire));
-            }
-            let mut buffer = Vec::new();
-            let summary = Executor::new(&program, bench.input(EVAL_SEED)).run_batched(
-                &mut gang,
-                BENCH_BUDGET,
-                &mut buffer,
-            );
-            assert!(summary.halted);
-            gang.into_metrics()
-        };
-
-        let (per_cell_metrics, per_cell_secs) = time_passes(iterations, per_cell_pass);
-        let (ganged_metrics, ganged_secs) = time_passes(iterations, ganged_pass);
-        assert_eq!(
-            per_cell_metrics, ganged_metrics,
-            "gang and per-cell paths disagree at retire {retire}"
-        );
-        points.push(GangPoint {
-            retire_latency: retire,
-            per_cell_branches_per_sec: grid_branches / per_cell_secs,
-            ganged_branches_per_sec: grid_branches / ganged_secs,
-            mispredictions: ganged_metrics
-                .iter()
-                .map(|m| m.all.mispredictions.get())
-                .sum(),
-        });
-    }
-    (lanes.len(), points)
-}
-
 /// Measures trace serving on the cold-memo case: [`SERVE_STREAMS`]
 /// distinct streams (more than the memo holds) recorded into an
 /// on-disk cache, then the whole matrix replayed round-robin through a
@@ -429,13 +109,11 @@ fn run_gang_matrix(quick: bool) -> (usize, Vec<GangPoint>) {
 /// Panics if the two serving modes disagree on any stream's metrics,
 /// if the decode baseline was not actually cold (a memo hit), or if
 /// the segment path fell back to decoding.
-fn run_serving_matrix(quick: bool) -> ServePoint {
-    let bench = &suite()[0];
+fn run_serving_matrix(bench: &Benchmark, iterations: u32) -> ServePoint {
     let compiled = compile_benchmark(bench, &CompileOptions::default());
     let program = compiled.predicated;
     let streams = SERVE_STREAMS;
     let memo_streams = DECODED_MEMO_CAPACITY;
-    let iterations: u32 = if quick { 3 } else { 10 };
     let spec = PredictorSpec::Gshare {
         index_bits: 10,
         history_bits: 10,
@@ -480,8 +158,11 @@ fn run_serving_matrix(quick: bool) -> ServePoint {
         keys.iter()
             .zip(&inputs)
             .map(|(key, memory)| {
-                let mut harness =
-                    PredictionHarness::new(build_predictor_stack(&spec), harness_config(0));
+                let config = HarnessConfig {
+                    timing: Timing::immediate(DEFAULT_LATENCY),
+                    insert: InsertFilter::All,
+                };
+                let mut harness = PredictionHarness::new(build_predictor(&spec), config);
                 let (summary, replayed) = cache
                     .replay_or_record(key, &program, memory.clone(), BENCH_BUDGET, &mut harness)
                     .expect("stream replays");
@@ -536,88 +217,24 @@ fn run_serving_matrix(quick: bool) -> ServePoint {
     }
 }
 
-/// Runs the full baseline: every config × retire latency, both
-/// pipelines, on one recorded stream.
+/// Runs the trace-serving measurement on the first suite benchmark.
 ///
 /// # Panics
 ///
-/// Panics if the two pipelines ever disagree on metrics — that would
-/// mean the refactor is *not* observationally invisible.
+/// Panics if the two serving modes ever disagree on metrics — that
+/// would mean segment serving is *not* observationally invisible.
 pub fn run_bench(quick: bool) -> BenchReport {
-    let fixture = fixture(quick);
-    let branches = fixture
-        .events
-        .iter()
-        .filter(|e| matches!(e, Event::Branch(b) if b.conditional))
-        .count() as u64;
-    let iterations: u32 = if quick { 5 } else { 15 };
-    let mut points = Vec::new();
-    for (name, spec) in configs() {
-        for retire in RETIRE_LATENCIES {
-            let (dyn_metrics, dyn_secs) =
-                time_passes(iterations, || replay_dyn(&fixture.bytes, &spec, retire));
-            let (enum_metrics, enum_secs) =
-                time_passes(iterations, || replay_enum(&fixture.events, &spec, retire));
-            assert_eq!(
-                dyn_metrics, enum_metrics,
-                "pipelines disagree for {name} at retire {retire}"
-            );
-            let total = branches as f64;
-            points.push(BenchPoint {
-                config: name,
-                retire_latency: retire,
-                dyn_branches_per_sec: total / dyn_secs,
-                enum_branches_per_sec: total / enum_secs,
-                mispredictions: dyn_metrics.all.mispredictions.get(),
-            });
-        }
-    }
-    let (gang_lanes, gang_points) = run_gang_matrix(quick);
-    let serving = run_serving_matrix(quick);
+    let bench = &suite()[0];
+    let iterations: u32 = if quick { 3 } else { 10 };
     BenchReport {
-        benchmark: fixture.benchmark,
+        benchmark: bench.name().to_string(),
         quick,
         iterations,
-        events: fixture.events.len() as u64,
-        conditional_branches: branches,
-        points,
-        gang_lanes,
-        gang_points,
-        serving,
+        serving: run_serving_matrix(bench, iterations),
     }
 }
 
 impl BenchReport {
-    /// The headline speedup: the *minimum* enum-over-dyn ratio across
-    /// retire latencies for [`HEADLINE_CONFIG`] — the conservative
-    /// number the acceptance gate reads.
-    pub fn headline_speedup(&self) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.config == HEADLINE_CONFIG)
-            .map(BenchPoint::speedup)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The headline gang-replay speedup: the ganged-over-per-cell
-    /// ratio at retire latency 0 — the sweep's default timing
-    /// ([`predbranch_core::Timing::immediate`]), i.e. the shape every
-    /// `experiments all` sweep actually runs, and the number the
-    /// acceptance gate reads out of `BENCH_7.json`. Falls back to the
-    /// minimum across points if no retire-0 point was measured.
-    pub fn gang_speedup(&self) -> f64 {
-        self.gang_points
-            .iter()
-            .find(|p| p.retire_latency == 0)
-            .map(GangPoint::speedup)
-            .unwrap_or_else(|| {
-                self.gang_points
-                    .iter()
-                    .map(GangPoint::speedup)
-                    .fold(f64::INFINITY, f64::min)
-            })
-    }
-
     /// The trace-serving speedup: segment-served over decode-per-replay
     /// throughput on the cold-memo matrix — the number the acceptance
     /// gate reads out of `BENCH_7.json`.
@@ -627,52 +244,11 @@ impl BenchReport {
 
     /// Renders the machine-readable `BENCH_7.json` document.
     pub fn to_json(&self) -> Json {
-        let results = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::obj()
-                    .field("config", p.config)
-                    .field("retire_latency", p.retire_latency)
-                    .field("dyn_branches_per_sec", p.dyn_branches_per_sec)
-                    .field("enum_branches_per_sec", p.enum_branches_per_sec)
-                    .field("speedup", p.speedup())
-                    .field("mispredictions", p.mispredictions)
-            })
-            .collect();
-        let gang_results = self
-            .gang_points
-            .iter()
-            .map(|p| {
-                Json::obj()
-                    .field("retire_latency", p.retire_latency)
-                    .field("per_cell_branches_per_sec", p.per_cell_branches_per_sec)
-                    .field("ganged_branches_per_sec", p.ganged_branches_per_sec)
-                    .field("speedup", p.speedup())
-                    .field("mispredictions", p.mispredictions)
-            })
-            .collect();
         Json::obj()
-            .field("schema", "predbranch-bench/v3")
+            .field("schema", SCHEMA)
             .field("benchmark", self.benchmark.as_str())
             .field("quick", self.quick)
             .field("iterations", u64::from(self.iterations))
-            .field("events", self.events)
-            .field("conditional_branches", self.conditional_branches)
-            .field("results", Json::Arr(results))
-            .field(
-                "headline",
-                Json::obj()
-                    .field("config", HEADLINE_CONFIG)
-                    .field("speedup", self.headline_speedup()),
-            )
-            .field(
-                "gang",
-                Json::obj()
-                    .field("lanes", self.gang_lanes as u64)
-                    .field("results", Json::Arr(gang_results))
-                    .field("speedup", self.gang_speedup()),
-            )
             .field(
                 "trace_serving",
                 Json::obj()
@@ -692,83 +268,21 @@ impl BenchReport {
             )
     }
 
-    /// Renders the human-readable summary table.
+    /// Renders the human-readable summary.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "replay throughput · {} · {} events · {} cond branches · {} iters",
-            self.benchmark, self.events, self.conditional_branches, self.iterations
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>6} {:>14} {:>14} {:>8}",
-            "config", "retire", "dyn br/s", "enum br/s", "speedup"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:<18} {:>6} {:>14.0} {:>14.0} {:>7.2}x",
-                p.config,
-                p.retire_latency,
-                p.dyn_branches_per_sec,
-                p.enum_branches_per_sec,
-                p.speedup()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "headline ({HEADLINE_CONFIG}): {:.2}x enum over dyn",
-            self.headline_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "gang replay · {} lanes · one live pass vs one pass per lane",
-            self.gang_lanes
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>6} {:>14} {:>14} {:>8}",
-            "", "retire", "per-cell br/s", "ganged br/s", "speedup"
-        );
-        for p in &self.gang_points {
-            let _ = writeln!(
-                out,
-                "{:<18} {:>6} {:>14.0} {:>14.0} {:>7.2}x",
-                "gang matrix",
-                p.retire_latency,
-                p.per_cell_branches_per_sec,
-                p.ganged_branches_per_sec,
-                p.speedup()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "gang headline: {:.2}x one ganged pass over per-cell passes \
-             at the sweep default timing (retire 0)",
-            self.gang_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "trace serving · {} streams over a {}-slot memo (cold) · {} events",
-            self.serving.streams, self.serving.memo_streams, self.serving.events
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>6} {:>14.0} {:>14.0} {:>7.2}x",
-            "serve matrix",
-            "-",
+        format!(
+            "trace serving · {} · {} streams over a {}-slot memo (cold) · {} events · {} iters\n\
+             decode-per-replay {:.0} br/s · segment-served {:.0} br/s\n\
+             serving headline: {:.2}x segment-served over decode-per-replay\n",
+            self.benchmark,
+            self.serving.streams,
+            self.serving.memo_streams,
+            self.serving.events,
+            self.iterations,
             self.serving.decode_branches_per_sec,
             self.serving.segment_branches_per_sec,
             self.serving_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "serving headline: {:.2}x segment-served over decode-per-replay",
-            self.serving_speedup()
-        );
-        out
+        )
     }
 }
 
@@ -777,59 +291,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pipelines_agree_on_the_fixture() {
-        let fixture = fixture(true);
-        for (_, spec) in configs() {
-            for retire in RETIRE_LATENCIES {
-                assert_eq!(
-                    replay_dyn(&fixture.bytes, &spec, retire),
-                    replay_enum(&fixture.events, &spec, retire)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fixture_bytes_decode_to_fixture_events() {
-        let fixture = fixture(true);
-        let (decoded, stats) = TraceReader::new(fixture.bytes.as_slice())
-            .unwrap()
-            .read_events()
-            .unwrap();
-        assert_eq!(decoded, fixture.events);
-        assert_eq!(stats.events, fixture.events.len() as u64);
-    }
-
-    #[test]
     fn report_json_shape() {
         let report = BenchReport {
             benchmark: "gzip".into(),
             quick: true,
             iterations: 1,
-            events: 10,
-            conditional_branches: 4,
-            points: vec![BenchPoint {
-                config: HEADLINE_CONFIG,
-                retire_latency: 0,
-                dyn_branches_per_sec: 1.0,
-                enum_branches_per_sec: 2.5,
-                mispredictions: 1,
-            }],
-            gang_lanes: 12,
-            gang_points: vec![
-                GangPoint {
-                    retire_latency: 0,
-                    per_cell_branches_per_sec: 1.0,
-                    ganged_branches_per_sec: 5.0,
-                    mispredictions: 3,
-                },
-                GangPoint {
-                    retire_latency: 8,
-                    per_cell_branches_per_sec: 1.0,
-                    ganged_branches_per_sec: 4.0,
-                    mispredictions: 3,
-                },
-            ],
             serving: ServePoint {
                 streams: 12,
                 memo_streams: 8,
@@ -839,34 +305,10 @@ mod tests {
                 mispredictions: 7,
             },
         };
-        assert!((report.headline_speedup() - 2.5).abs() < 1e-9);
-        // the gate reads the retire-0 (sweep default timing) gang ratio
-        assert!((report.gang_speedup() - 5.0).abs() < 1e-9);
         assert!((report.serving_speedup() - 3.0).abs() < 1e-9);
         let json = report.to_json();
-        assert_eq!(
-            json.get("schema").and_then(Json::as_str),
-            Some("predbranch-bench/v3")
-        );
-        assert_eq!(
-            json.get("results").and_then(Json::as_arr).map(<[_]>::len),
-            Some(1)
-        );
+        assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let parsed = Json::parse(&json.render()).unwrap();
-        assert_eq!(
-            parsed
-                .get("headline")
-                .and_then(|h| h.get("config"))
-                .and_then(Json::as_str),
-            Some(HEADLINE_CONFIG)
-        );
-        let gang = parsed.get("gang").unwrap();
-        assert_eq!(gang.get("lanes").and_then(Json::as_u64), Some(12));
-        assert_eq!(
-            gang.get("results").and_then(Json::as_arr).map(<[_]>::len),
-            Some(2)
-        );
-        assert!(gang.get("speedup").is_some());
         let serving = parsed.get("trace_serving").unwrap();
         assert_eq!(serving.get("streams").and_then(Json::as_u64), Some(12));
         assert_eq!(serving.get("memo_streams").and_then(Json::as_u64), Some(8));
@@ -884,17 +326,5 @@ mod tests {
             mispredictions: 0,
         };
         assert!((point.speedup() - 4.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gang_matrix_is_sweep_sized() {
-        // the speedup claim only means something against a realistic
-        // grid: at least a dozen lanes, all distinct
-        let lanes = gang_lane_specs();
-        assert!(lanes.len() >= 12, "matrix too small: {}", lanes.len());
-        let mut specs: Vec<String> = lanes.iter().map(|(_, s)| format!("{s:?}")).collect();
-        specs.sort();
-        specs.dedup();
-        assert_eq!(specs.len(), lanes.len(), "duplicate lanes in the matrix");
     }
 }

@@ -21,14 +21,6 @@
 //! experiments --checkpoint run.ckpt all
 //!                            # journal completed cells; an interrupted
 //!                            # sweep resumes from where it died
-//! experiments --dispatch dyn all
-//!                            # drive predictors through the boxed
-//!                            # trait-object path instead of the
-//!                            # statically-dispatched enum stack
-//!                            # (identical output, for A/B checks)
-//! experiments --gang off all # run one replay pass per cell instead of
-//!                            # ganging stream-sharing cells into one
-//!                            # pass (identical output, for A/B checks)
 //! experiments --shard 0/2 --checkpoint s0.ckpt --manifest s0.json all
 //!                            # run only the gang units this shard owns
 //!                            # (deterministic partition by stream
@@ -44,20 +36,17 @@
 //! experiments --memo-streams 16 --trace-cache .traces all
 //!                            # cap the decoded-event memo (v1-only
 //!                            # fallback path) at 16 streams
-//! experiments --list-stacks  # list every statically-dispatched
-//!                            # predictor stack (generated from the
-//!                            # stack macros, never hand-maintained)
 //! experiments bench --json --quick
-//!                            # measure replay throughput (dyn vs enum,
-//!                            # gang vs per-cell, segment-served vs
+//!                            # measure trace serving (segment-served vs
 //!                            # decode-per-replay) and write BENCH_7.json
 //! ```
 
 use std::process::ExitCode;
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::runner::{Dispatch, Gang, RunContext, Shard};
+use predbranch_bench::runner::{RunContext, Shard};
 use predbranch_bench::{all_experiments, benchmode, Scale};
+use predbranch_isa::{out, outln};
 use predbranch_sweep::{merge_journals, merge_manifests, Json, ManifestBuilder};
 
 /// The `merge` subcommand: stitch shard-scoped journals (`.ckpt`
@@ -119,15 +108,6 @@ fn main() -> ExitCode {
     let bars = flag("--bars");
     let markdown = flag("--markdown");
     let json = flag("--json");
-    if flag("--list-stacks") {
-        // generated straight from the stack macros' variant tables, so
-        // the listing can never drift from the dispatch enums
-        println!("available predictor stacks (variant  payload type):");
-        for variant in predbranch_modern::all_stack_variants() {
-            println!("  {:<20} {}", variant.name, variant.type_name());
-        }
-        return ExitCode::SUCCESS;
-    }
     let mut valued = |name: &str| -> Result<Option<String>, String> {
         match args.iter().position(|a| a == name) {
             Some(pos) if pos + 1 < args.len() => {
@@ -139,41 +119,24 @@ fn main() -> ExitCode {
             None => Ok(None),
         }
     };
-    let (
-        trace_cache,
-        jobs,
-        manifest_path,
-        checkpoint_path,
-        retire,
-        dispatch,
-        gang,
-        out,
-        shard,
-        memo,
-    ) = match (
+    let (trace_cache, jobs, manifest_path, checkpoint_path, retire, out, shard, memo) = match (
         valued("--trace-cache"),
         valued("--jobs"),
         valued("--manifest"),
         valued("--checkpoint"),
         valued("--retire-latency"),
-        valued("--dispatch"),
-        valued("--gang"),
         valued("--out"),
         valued("--shard"),
         valued("--memo-streams"),
     ) {
-        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(d), Ok(g), Ok(o), Ok(s), Ok(ms)) => {
-            (tc, j, m, c, r, d, g, o, s, ms)
-        }
-        (tc, j, m, c, r, d, g, o, s, ms) => {
+        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(o), Ok(s), Ok(ms)) => (tc, j, m, c, r, o, s, ms),
+        (tc, j, m, c, r, o, s, ms) => {
             for err in [
                 tc.err(),
                 j.err(),
                 m.err(),
                 c.err(),
                 r.err(),
-                d.err(),
-                g.err(),
                 o.err(),
                 s.err(),
                 ms.err(),
@@ -197,20 +160,6 @@ fn main() -> ExitCode {
         Ok(n) => n.unwrap_or(0),
         Err(e) => {
             eprintln!("--retire-latency needs a non-negative integer: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let dispatch: Dispatch = match dispatch.as_deref().map(str::parse).transpose() {
-        Ok(d) => d.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("--dispatch: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let gang: Gang = match gang.as_deref().map(str::parse).transpose() {
-        Ok(g) => g.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("--gang: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -240,9 +189,9 @@ fn main() -> ExitCode {
     }
 
     if args.iter().any(|a| a == "bench") {
-        eprintln!("running bench — replay throughput baseline ...");
+        eprintln!("running bench — trace-serving throughput ...");
         let report = benchmode::run_bench(quick);
-        print!("{}", report.to_text());
+        out!("{}", report.to_text());
         if json {
             let path = out.as_deref().unwrap_or("BENCH_7.json");
             let body = format!("{}\n", report.to_json().render());
@@ -255,10 +204,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut ctx = RunContext::new()
-        .with_jobs(jobs)
-        .with_dispatch(dispatch)
-        .with_gang(gang);
+    let mut ctx = RunContext::new().with_jobs(jobs);
     if let Some(n) = memo {
         ctx = ctx.with_memo_streams(n);
     }
@@ -324,18 +270,16 @@ fn main() -> ExitCode {
     let scale = if quick { Scale::quick() } else { Scale::full() }.with_retire(retire);
 
     if args.is_empty() {
-        println!("experiments — regenerate the study's tables and figures\n");
-        println!(
+        outln!("experiments — regenerate the study's tables and figures\n");
+        outln!(
             "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
-             [--dispatch enum|dyn] [--gang on|off] [--trace-cache <dir>] \
-             [--memo-streams N] [--shard i/N] \
+             [--trace-cache <dir>] [--memo-streams N] [--shard i/N] \
              [--manifest <file>] [--checkpoint <file>] <id>... | all \
              | bench [--json] [--out <file>] \
-             | merge --out <merged.ckpt> --manifest <merged.json> <shard files>... \
-             | --list-stacks\n"
+             | merge --out <merged.ckpt> --manifest <merged.json> <shard files>...\n"
         );
         for exp in all_experiments() {
-            println!("  {:<4} {}", exp.id, exp.title);
+            outln!("  {:<4} {}", exp.id, exp.title);
         }
         return ExitCode::SUCCESS;
     }
@@ -359,7 +303,7 @@ fn main() -> ExitCode {
     for exp in selected {
         eprintln!("running {} — {} ...", exp.id, exp.title);
         if markdown && shard.is_none() {
-            println!("## {} — {}\n", exp.id, exp.title);
+            outln!("## {} — {}\n", exp.id, exp.title);
         }
         for artifact in (exp.run)(&ctx, &scale) {
             // a shard computes only the cells it owns, so its aggregate
@@ -371,13 +315,13 @@ fn main() -> ExitCode {
                 continue;
             }
             if markdown {
-                println!("```text\n{artifact}```\n");
+                outln!("```text\n{artifact}```\n");
             } else {
-                println!("{artifact}");
+                outln!("{artifact}");
             }
             if bars {
                 if let predbranch_bench::Artifact::Series(series) = &artifact {
-                    println!("{}", series.to_bars(50));
+                    outln!("{}", series.to_bars(50));
                 }
             }
         }

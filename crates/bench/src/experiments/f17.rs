@@ -15,7 +15,7 @@
 //! predictors are being scored against.
 
 use predbranch_characterize::{Bucket, Characterization, Characterizer};
-use predbranch_core::{build_predictor_stack, HotBranches, PredictorStack};
+use predbranch_core::{build_predictor, BranchPredictor, HotBranches};
 use predbranch_stats::{Align, Cell, Table};
 
 use super::{headline_specs, Artifact, Scale};
@@ -64,9 +64,8 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
             let cache_label = format!("{}-pred", entry.compiled.name);
             let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
                 let specs = headline_specs();
-                let hot = |i: usize| {
-                    HotBranches::new(build_predictor_stack(&specs[i].1), DEFAULT_LATENCY)
-                };
+                let hot =
+                    |i: usize| HotBranches::new(build_predictor(&specs[i].1), DEFAULT_LATENCY);
                 let mut characterizer = Characterizer::new();
                 let (mut h0, mut h1, mut h2, mut h3) = (hot(0), hot(1), hot(2), hot(3));
                 {
@@ -76,7 +75,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
                     ctx.stream_events(&cache_label, &program, &memory, &mut sink);
                 }
                 let report = characterizer.finish();
-                let hots: [HotBranches<PredictorStack>; 4] = [h0, h1, h2, h3];
+                let hots: [HotBranches<Box<dyn BranchPredictor>>; 4] = [h0, h1, h2, h3];
                 let misp = report
                     .branches()
                     .iter()

@@ -17,8 +17,8 @@
 //! has little left to gain from predicate signals.
 
 use predbranch_characterize::{Bucket, Characterization, Characterizer};
-use predbranch_core::HotBranches;
-use predbranch_modern::{build_modern_stack, ModernSpec, ModernStack};
+use predbranch_core::{BranchPredictor, HotBranches};
+use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_stats::{Align, Cell, Table};
 
 use super::{mpp_spec, tage_spec, Artifact, Scale};
@@ -101,8 +101,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
             let cache_label = format!("{}-pred", entry.compiled.name);
             let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
                 let specs = configs();
-                let hot =
-                    |i: usize| HotBranches::new(build_modern_stack(&specs[i]), DEFAULT_LATENCY);
+                let hot = |i: usize| HotBranches::new(build_modern(&specs[i]), DEFAULT_LATENCY);
                 let mut characterizer = Characterizer::new();
                 let (mut h0, mut h1, mut h2) = (hot(0), hot(1), hot(2));
                 let (mut h3, mut h4, mut h5) = (hot(3), hot(4), hot(5));
@@ -116,7 +115,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
                     ctx.stream_events(&cache_label, &program, &memory, &mut sink);
                 }
                 let report = characterizer.finish();
-                let hots: [HotBranches<ModernStack>; 6] = [h0, h1, h2, h3, h4, h5];
+                let hots: [HotBranches<Box<dyn BranchPredictor>>; 6] = [h0, h1, h2, h3, h4, h5];
                 let misp = report
                     .branches()
                     .iter()

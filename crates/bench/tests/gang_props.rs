@@ -1,8 +1,9 @@
 //! Gang replay must be invisible: for ANY mix of classic and modern
 //! predictor specs over any mix of benchmarks, at retire latency 0 and
-//! 8, the ganged grid (the default) produces `RunOutcome`s identical —
-//! metrics, misprediction tallies, run summaries — to the sequential
-//! per-cell path (`--gang off`).
+//! 8, one `run_cells` over the whole grid produces `RunOutcome`s
+//! identical — metrics, misprediction tallies, run summaries — to
+//! submitting each cell alone (`run_cells(vec![cell])`, a gang unit of
+//! one).
 //!
 //! Each case shares one on-disk trace cache between both contexts, so
 //! the property also exercises the replay path the full sweeps use:
@@ -11,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use predbranch_bench::{CellSpec, Gang, RunContext};
+use predbranch_bench::{CellSpec, RunContext};
 use predbranch_core::{InsertFilter, Timing};
 
 /// Spec strings spanning every predictor family the sweep engine can
@@ -65,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The gang-replay contract from DESIGN.md: lanes share no state,
-    /// so a ganged pass is byte-identical to per-cell passes.
+    /// so a ganged pass is byte-identical to one pass per lone cell.
     #[test]
     fn gang_outcomes_match_per_cell_outcomes(
         grid in arb_grid(),
@@ -77,12 +78,14 @@ proptest! {
             .with_trace_cache(&dir)
             .expect("trace cache opens");
         let per_cell = RunContext::new()
-            .with_gang(Gang::Off)
             .with_trace_cache(&dir)
             .expect("trace cache opens");
 
         let outs_ganged = ganged.run_cells(cells_for(&ganged, &grid, retire));
-        let outs_per_cell = per_cell.run_cells(cells_for(&per_cell, &grid, retire));
+        let outs_per_cell: Vec<_> = cells_for(&per_cell, &grid, retire)
+            .into_iter()
+            .flat_map(|cell| per_cell.run_cells(vec![cell]))
+            .collect();
         prop_assert_eq!(
             outs_ganged,
             outs_per_cell,
@@ -91,12 +94,12 @@ proptest! {
             retire
         );
 
-        // ganging never runs more passes than the per-cell path
+        // ganging never runs more passes than lone submissions
         let (g, p) = (ganged.stats(), per_cell.stats());
         prop_assert!(
             g.replays + g.recordings + g.live_runs
                 <= p.replays + p.recordings + p.live_runs,
-            "gang used more passes ({g:?}) than per-cell ({p:?})"
+            "gang used more passes ({g:?}) than lone cells ({p:?})"
         );
 
         let _ = std::fs::remove_dir_all(&dir);

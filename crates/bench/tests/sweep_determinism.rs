@@ -4,7 +4,7 @@
 //! trace cache.
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::{CellSpec, Gang, RunContext, Scale, DEFAULT_LATENCY};
+use predbranch_bench::{CellSpec, RunContext, Scale, DEFAULT_LATENCY};
 use predbranch_core::{InsertFilter, Timing};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -92,13 +92,10 @@ fn trace_cache_replays_are_jobs_invariant_and_counted() {
     let stats = warm.stats();
     assert_eq!((stats.replays, stats.recordings), (0, 2), "{stats:?}");
 
-    // the per-cell escape hatch against the now-warm cache: one replay
+    // each cell submitted alone against the now-warm cache: one replay
     // pass per cell, outcomes identical to the ganged pass
-    let per_cell = RunContext::new()
-        .with_gang(Gang::Off)
-        .with_trace_cache(&dir)
-        .unwrap();
-    let outs_per_cell = per_cell.run_cells(grid(&per_cell));
+    let per_cell = RunContext::new().with_trace_cache(&dir).unwrap();
+    let outs_per_cell = run_alone(&per_cell, grid(&per_cell));
     assert_eq!(outs_warm, outs_per_cell);
     let stats = per_cell.stats();
     assert_eq!(
@@ -123,13 +120,21 @@ fn trace_cache_replays_are_jobs_invariant_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Submits every cell as its own `run_cells` call — a gang unit of one.
+fn run_alone(ctx: &RunContext, cells: Vec<CellSpec>) -> Vec<predbranch_bench::RunOutcome> {
+    cells
+        .into_iter()
+        .flat_map(|cell| ctx.run_cells(vec![cell]))
+        .collect()
+}
+
 #[test]
-fn gang_escape_hatch_matches_ganged_outcomes() {
+fn lone_cells_match_ganged_outcomes() {
     let ganged = RunContext::new();
-    let per_cell = RunContext::new().with_gang(Gang::Off);
+    let per_cell = RunContext::new();
     let outs_ganged = ganged.run_cells(grid(&ganged));
-    assert_eq!(outs_ganged, per_cell.run_cells(grid(&per_cell)));
-    // 2 streams → 2 gang passes; the escape hatch runs all 8 cells
+    assert_eq!(outs_ganged, run_alone(&per_cell, grid(&per_cell)));
+    // 2 streams → 2 gang passes; lone submissions run all 8 cells
     assert_eq!(ganged.stats().live_runs, 2);
     assert_eq!(per_cell.stats().live_runs, 8);
 }

@@ -89,16 +89,16 @@ struct InFlightBranch {
 }
 
 /// Everything a prediction lane owns *except* the predicate
-/// scoreboard: predictor stack, insert filter, metrics, optional
-/// timeline, and the in-flight branch window.
+/// scoreboard: predictor, insert filter, metrics, optional timeline,
+/// and the in-flight branch window.
 ///
 /// The scoreboard is factored out because its state is a pure function
 /// of the event stream and the resolve latency — it never depends on
-/// the predictor. A [`PredictionHarness`] pairs one lane with its own
-/// scoreboard; a [`GangHarness`] advances many lanes against a single
-/// shared scoreboard, which is the bulk of gang replay's win (predicate
-/// writes outnumber branches in predicated code, and each one costs a
-/// scoreboard query + record).
+/// the predictor — so every lane of a [`PredictionHarness`] advances
+/// against the one scoreboard the harness owns. Predicate writes
+/// outnumber branches in predicated code, and each one costs a
+/// scoreboard query + record, so sharing it is most of what driving
+/// many lanes from one pass saves.
 #[derive(Debug)]
 struct Lane<P> {
     predictor: P,
@@ -177,10 +177,17 @@ impl<P: BranchPredictor> Lane<P> {
         }
     }
 
+    #[inline]
+    fn unconditional(&mut self) {
+        if let Some(timeline) = &mut self.timeline {
+            timeline.taken_branch();
+        }
+    }
+
     /// Processes a conditional branch. `guard_known_false` is the
     /// scoreboard's verdict on the branch's guard at its fetch index —
-    /// hoisted to the caller because a gang computes it once for all
-    /// lanes (the scoreboard never mutates during branch processing).
+    /// hoisted to the caller, which computes it once for all lanes (the
+    /// scoreboard never mutates during branch processing).
     fn branch(
         &mut self,
         event: &BranchEvent,
@@ -284,67 +291,139 @@ impl<P: BranchPredictor> Lane<P> {
 /// oldest outstanding checkpoint at `squash` time is the squashed
 /// branch's own.
 ///
-/// Call [`PredictionHarness::finish`] (or [`PredictionHarness::into_parts`],
-/// which does it for you) after the event stream ends to retire the last
-/// in-flight branches.
+/// Call [`PredictionHarness::finish`] (or one of the consuming
+/// accessors, which do it for you) after the event stream ends to
+/// retire the last in-flight branches.
 ///
 /// Unconditional branches are not predicted (their direction is static).
+///
+/// # Lanes
+///
+/// [`PredictionHarness::new`] builds a harness with one *lane*: a
+/// predictor with its own window, insert filter, metrics, and optional
+/// timeline. [`PredictionHarness::push_lane`] adds more, so one event
+/// pass drives a whole bank of predictor configurations. All lanes
+/// share the harness's single predicate scoreboard, which is why they
+/// must agree on the resolve latency; retire latency and insert filter
+/// stay free per lane. The single-lane accessors
+/// ([`PredictionHarness::metrics`], [`PredictionHarness::predictor`],
+/// …) read the first lane.
+///
+/// Apart from the scoreboard — identical by construction to the one a
+/// one-lane harness builds — lanes share **no** state, so delivering
+/// each event to lane 0, then lane 1, … is observationally identical to
+/// running each lane over the full stream in its own harness: every
+/// lane's metrics and final predictor state are byte-for-byte the same.
+/// For predicate writes, every lane processes the event against the
+/// pre-write scoreboard before the write is observed once.
+///
+/// # Examples
+///
+/// ```
+/// use predbranch_core::{Gshare, HarnessConfig, PredictionHarness};
+///
+/// let mut harness = PredictionHarness::new(Gshare::new(10, 10), HarnessConfig::default());
+/// harness.push_lane(Gshare::new(12, 12), HarnessConfig::default());
+/// assert_eq!(harness.into_metrics().len(), 2);
+/// ```
 #[derive(Debug)]
 pub struct PredictionHarness<P> {
     scoreboard: PredicateScoreboard,
-    lane: Lane<P>,
+    lanes: Vec<Lane<P>>,
 }
 
 impl<P: BranchPredictor> PredictionHarness<P> {
-    /// Creates a harness around `predictor`.
+    /// Creates a harness with one lane around `predictor`.
     pub fn new(predictor: P, config: HarnessConfig) -> Self {
         PredictionHarness {
             scoreboard: PredicateScoreboard::new(config.timing.resolve_latency),
-            lane: Lane::new(predictor, &config),
+            lanes: vec![Lane::new(predictor, &config)],
         }
     }
 
-    /// Attaches a cycle-level [`FetchTimeline`]: every fetched
-    /// instruction, taken-branch fragment, and misprediction flush is
-    /// accounted, giving event-driven cycle counts (see
-    /// [`PredictionHarness::timeline`]).
+    /// Appends a lane around `predictor` with its own retire latency
+    /// and insert filter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.timing.resolve_latency` differs from the
+    /// harness's: every lane reads the one shared scoreboard.
+    pub fn push_lane(&mut self, predictor: P, config: HarnessConfig) {
+        assert_eq!(
+            self.scoreboard.resolve_latency(),
+            config.timing.resolve_latency,
+            "lanes share one predicate scoreboard: every lane must use the \
+             same resolve latency"
+        );
+        self.lanes.push(Lane::new(predictor, &config));
+    }
+
+    /// Attaches a cycle-level [`FetchTimeline`] to every lane: each
+    /// fetched instruction, taken-branch fragment, and misprediction
+    /// flush is accounted, giving event-driven cycle counts (see
+    /// [`PredictionHarness::timeline`]). Timelines need the
+    /// per-instruction callbacks of [`predbranch_sim::Executor::run`];
+    /// the batched event path does not deliver them.
     pub fn with_timeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.lane.timeline = Some(FetchTimeline::new(pipeline));
+        for lane in &mut self.lanes {
+            lane.timeline = Some(FetchTimeline::new(pipeline));
+        }
         self
     }
 
-    /// The attached fetch timeline, if any.
+    /// The first lane's fetch timeline, if any.
     pub fn timeline(&self) -> Option<&FetchTimeline> {
-        self.lane.timeline.as_ref()
+        self.lanes[0].timeline.as_ref()
     }
 
-    /// The accumulated metrics.
+    /// The first lane's accumulated metrics.
     pub fn metrics(&self) -> &PredictionMetrics {
-        &self.lane.metrics
+        &self.lanes[0].metrics
     }
 
-    /// The driven predictor.
+    /// The first lane's predictor.
     pub fn predictor(&self) -> &P {
-        &self.lane.predictor
+        &self.lanes[0].predictor
     }
 
-    /// Retires all still-in-flight branches. Call once the event stream
-    /// ends; without it the tail of the run never trains the predictor.
+    /// Retires every lane's still-in-flight branches. Call once the
+    /// event stream ends; without it the tail of the run never trains
+    /// the predictors.
     pub fn finish(&mut self) {
-        self.lane.finish(&self.scoreboard);
+        for lane in &mut self.lanes {
+            lane.finish(&self.scoreboard);
+        }
     }
 
     /// Number of branches currently in flight (fetched, not yet
-    /// retired).
+    /// retired) in the first lane.
     pub fn in_flight(&self) -> usize {
-        self.lane.window.len()
+        self.lanes[0].window.len()
     }
 
-    /// Consumes the harness, returning predictor and metrics. Retires
-    /// any still-in-flight branches first.
-    pub fn into_parts(mut self) -> (P, PredictionMetrics) {
+    /// Consumes the harness, returning the first lane's predictor and
+    /// metrics. Retires any still-in-flight branches first.
+    pub fn into_parts(self) -> (P, PredictionMetrics) {
+        self.into_lanes().swap_remove(0)
+    }
+
+    /// Consumes the harness, returning every lane's predictor and
+    /// metrics in lane order (tails retired).
+    pub fn into_lanes(mut self) -> Vec<(P, PredictionMetrics)> {
         self.finish();
-        (self.lane.predictor, self.lane.metrics)
+        self.lanes
+            .into_iter()
+            .map(|lane| (lane.predictor, lane.metrics))
+            .collect()
+    }
+
+    /// Consumes the harness, returning per-lane metrics in lane order
+    /// (tails retired).
+    pub fn into_metrics(self) -> Vec<PredictionMetrics> {
+        self.into_lanes()
+            .into_iter()
+            .map(|(_, metrics)| metrics)
+            .collect()
     }
 
     /// Drives the harness from a buffered event stream — the
@@ -361,147 +440,8 @@ impl<P: BranchPredictor> PredictionHarness<P> {
     }
 }
 
-/// A bank of independent prediction lanes fed by **one** event stream:
-/// the gang-replay counterpart of [`PredictionHarness`]. Where a sweep
-/// previously replayed the same decoded events once per predictor
-/// configuration, a `GangHarness` owns `N` lanes — each with its own
-/// predictor stack, in-flight window, insert filter, and metrics — plus
-/// **one** predicate scoreboard shared by every lane.
-///
-/// The scoreboard can be shared because its state is a pure function of
-/// the event stream and the resolve latency: every lane of a dedicated
-/// per-cell pass would build the identical scoreboard. Sharing it turns
-/// the per-predicate-write query + record from `N×` into `1×`, which
-/// matters because predicated code emits more predicate writes than
-/// branches. The price is that all lanes of one gang must use the same
-/// resolve latency ([`GangHarness::push_lane`] asserts this); retire
-/// latency and insert filter remain free per lane. The sweep runner
-/// already groups cells into gang units by (stream, timing), so the
-/// constraint is invisible there.
-///
-/// # Determinism contract
-///
-/// Apart from the scoreboard — identical by construction to the one a
-/// solo pass builds — lanes share **no** state, so delivering each
-/// event to lane 0, then lane 1, … is observationally identical to
-/// running each lane over the full stream on its own: every lane's
-/// metrics and final predictor state are byte-for-byte what a dedicated
-/// [`PredictionHarness`] pass would have produced. For predicate
-/// writes, every lane processes the event against the pre-write
-/// scoreboard before the write is observed once — exactly the order a
-/// solo harness uses.
-///
-/// Timelines are intentionally unsupported: gang replay rides the
-/// batched event path, which does not forward per-instruction callbacks
-/// (see [`predbranch_sim::Executor::run_batched`]); a cycle-accounting
-/// lane would silently undercount. Cells that need a
-/// [`FetchTimeline`] keep using a single [`PredictionHarness`].
-///
-/// # Examples
-///
-/// ```
-/// use predbranch_core::{GangHarness, Gshare, HarnessConfig, StaticPredictor};
-/// use predbranch_core::PredictorStack;
-///
-/// let mut gang = GangHarness::new();
-/// gang.push_lane(
-///     PredictorStack::Gshare(Gshare::new(10, 10)),
-///     HarnessConfig::default(),
-/// );
-/// gang.push_lane(
-///     PredictorStack::Static(StaticPredictor::Taken),
-///     HarnessConfig::default(),
-/// );
-/// assert_eq!(gang.len(), 2);
-/// ```
-#[derive(Debug, Default)]
-pub struct GangHarness<P> {
-    /// Shared by all lanes; created by the first
-    /// [`GangHarness::push_lane`].
-    scoreboard: Option<PredicateScoreboard>,
-    lanes: Vec<Lane<P>>,
-}
-
-impl<P: BranchPredictor> GangHarness<P> {
-    /// Creates an empty gang. Push lanes with
-    /// [`GangHarness::push_lane`] before replaying.
-    pub fn new() -> Self {
-        GangHarness {
-            scoreboard: None,
-            lanes: Vec::new(),
-        }
-    }
-
-    /// Appends a lane around `predictor` with its own retire latency
-    /// and insert filter. The first lane's resolve latency creates the
-    /// gang's shared scoreboard; every subsequent lane must use the
-    /// same resolve latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.timing.resolve_latency` differs from the
-    /// first lane's.
-    pub fn push_lane(&mut self, predictor: P, config: HarnessConfig) {
-        let resolve = config.timing.resolve_latency;
-        match &self.scoreboard {
-            None => self.scoreboard = Some(PredicateScoreboard::new(resolve)),
-            Some(sb) => assert_eq!(
-                sb.resolve_latency(),
-                resolve,
-                "gang lanes share one predicate scoreboard: every lane \
-                 must use the same resolve latency"
-            ),
-        }
-        self.lanes.push(Lane::new(predictor, &config));
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True when the gang has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Retires every lane's still-in-flight branches. Call once the
-    /// event stream ends (consuming accessors do it for you).
-    pub fn finish(&mut self) {
-        if let Some(scoreboard) = &self.scoreboard {
-            for lane in &mut self.lanes {
-                lane.finish(scoreboard);
-            }
-        }
-    }
-
-    /// Consumes the gang, returning one [`PredictionHarness`] per lane
-    /// (tails retired). Each harness carries a copy of the shared
-    /// scoreboard — the state a dedicated pass would have built — so
-    /// the result is indistinguishable from `N` solo passes.
-    pub fn into_lanes(mut self) -> Vec<PredictionHarness<P>> {
-        self.finish();
-        let scoreboard = self.scoreboard;
-        self.lanes
-            .into_iter()
-            .map(|lane| PredictionHarness {
-                scoreboard: scoreboard
-                    .clone()
-                    .unwrap_or_else(|| PredicateScoreboard::new(DEFAULT_RESOLVE_LATENCY)),
-                lane,
-            })
-            .collect()
-    }
-
-    /// Consumes the gang, returning per-lane metrics in lane order
-    /// (tails retired).
-    pub fn into_metrics(mut self) -> Vec<PredictionMetrics> {
-        self.finish();
-        self.lanes.into_iter().map(|lane| lane.metrics).collect()
-    }
-}
-
-impl<P: BranchPredictor> EventSink for GangHarness<P> {
+impl<P: BranchPredictor> EventSink for PredictionHarness<P> {
+    #[inline]
     fn instruction(&mut self, _pc: u32, _index: u64) {
         for lane in &mut self.lanes {
             lane.instruction();
@@ -510,70 +450,30 @@ impl<P: BranchPredictor> EventSink for GangHarness<P> {
 
     fn branch(&mut self, event: &BranchEvent) {
         if !event.conditional {
-            // gang lanes carry no timelines, and unconditional
-            // branches touch nothing else — skip the lane loop
+            // unconditional branches are not predicted, but a taken
+            // branch still fragments fetch
+            for lane in &mut self.lanes {
+                lane.unconditional();
+            }
             return;
         }
-        if let Some(scoreboard) = &self.scoreboard {
-            // one guard query serves every lane: the scoreboard is
-            // shared and branch processing never mutates it
-            let guard_known_false = scoreboard.query(event.guard, event.index).is_known_false();
-            for lane in &mut self.lanes {
-                lane.branch(event, scoreboard, guard_known_false);
-            }
+        // one guard query serves every lane: branch processing never
+        // mutates the scoreboard
+        let guard_known_false = self
+            .scoreboard
+            .query(event.guard, event.index)
+            .is_known_false();
+        for lane in &mut self.lanes {
+            lane.branch(event, &self.scoreboard, guard_known_false);
         }
     }
 
     fn pred_write(&mut self, event: &PredWriteEvent) {
         // Every lane drains and inserts against the pre-write
-        // scoreboard, then the write becomes visible once — the same
-        // order each solo pass uses.
-        if let Some(scoreboard) = &self.scoreboard {
-            for lane in &mut self.lanes {
-                lane.pred_write(event, scoreboard);
-            }
+        // scoreboard; the write becomes visible only afterwards.
+        for lane in &mut self.lanes {
+            lane.pred_write(event, &self.scoreboard);
         }
-        if let Some(scoreboard) = &mut self.scoreboard {
-            scoreboard.observe(event);
-        }
-    }
-
-    fn events(&mut self, batch: &[Event]) {
-        // Event-major: the shared scoreboard must advance in stream
-        // order, so each event visits every lane before the next event
-        // is delivered.
-        for event in batch {
-            self.event(event);
-        }
-    }
-}
-
-impl<P: BranchPredictor> EventSink for PredictionHarness<P> {
-    #[inline]
-    fn instruction(&mut self, _pc: u32, _index: u64) {
-        self.lane.instruction();
-    }
-
-    fn branch(&mut self, event: &BranchEvent) {
-        if !event.conditional {
-            // unconditional branches are not predicted, but a taken
-            // branch still fragments fetch
-            if let Some(timeline) = &mut self.lane.timeline {
-                timeline.taken_branch();
-            }
-            return;
-        }
-        let guard_known_false = self
-            .scoreboard
-            .query(event.guard, event.index)
-            .is_known_false();
-        self.lane.branch(event, &self.scoreboard, guard_known_false);
-    }
-
-    fn pred_write(&mut self, event: &PredWriteEvent) {
-        // The lane drains and inserts against the pre-write scoreboard;
-        // the write becomes visible only afterwards.
-        self.lane.pred_write(event, &self.scoreboard);
         self.scoreboard.observe(event);
     }
 }
@@ -776,11 +676,11 @@ mod tests {
 
     #[test]
     fn gang_lanes_match_sequential_per_lane_passes() {
-        // Four heterogeneous lanes over one recorded stream must end in
-        // exactly the state four dedicated harness passes produce —
-        // metrics AND predictor tables. Lanes share the gang's resolve
-        // latency (one scoreboard); retire latency and insert filter
-        // vary per lane.
+        // Four heterogeneous lanes of one harness over one recorded
+        // stream must end in exactly the state four one-lane harnesses
+        // produce — metrics AND predictor tables. Lanes share the
+        // harness's resolve latency (one scoreboard); retire latency
+        // and insert filter vary per lane.
         let program = assemble(LOOP).unwrap();
         let mut trace = predbranch_sim::TraceSink::new();
         Executor::new(&program, Memory::new()).run(&mut trace, 1_000_000);
@@ -793,35 +693,28 @@ mod tests {
             (Timing::new(8, 3), InsertFilter::All),
         ];
         let build = |i: usize| Gshare::new(8 + i as u32, 8 + i as u32);
+        let config = |i: usize| HarnessConfig {
+            timing: configs[i].0,
+            insert: configs[i].1.clone(),
+        };
 
-        let mut gang = GangHarness::new();
-        for (i, (timing, insert)) in configs.iter().enumerate() {
-            gang.push_lane(
-                build(i),
-                HarnessConfig {
-                    timing: *timing,
-                    insert: insert.clone(),
-                },
-            );
+        let mut gang = PredictionHarness::new(build(0), config(0));
+        for i in 1..configs.len() {
+            gang.push_lane(build(i), config(i));
         }
         // deliver in EVENT_BATCH_CAPACITY-sized chunks like replay does
         for chunk in events.chunks(predbranch_sim::EVENT_BATCH_CAPACITY) {
             gang.events(chunk);
         }
         let lanes = gang.into_lanes();
+        assert_eq!(lanes.len(), configs.len());
 
-        for (i, (timing, insert)) in configs.iter().enumerate() {
-            let mut solo = PredictionHarness::new(
-                build(i),
-                HarnessConfig {
-                    timing: *timing,
-                    insert: insert.clone(),
-                },
-            );
+        for (i, (predictor, metrics)) in lanes.iter().enumerate() {
+            let mut solo = PredictionHarness::new(build(i), config(i));
             solo.replay_events(&events);
-            let (reference, metrics) = solo.into_parts();
-            assert_eq!(*lanes[i].metrics(), metrics, "lane {i} metrics");
-            assert_eq!(*lanes[i].predictor(), reference, "lane {i} predictor state");
+            let (reference, solo_metrics) = solo.into_parts();
+            assert_eq!(*metrics, solo_metrics, "lane {i} metrics");
+            assert_eq!(*predictor, reference, "lane {i} predictor state");
         }
     }
 
@@ -832,30 +725,30 @@ mod tests {
         Executor::new(&program, Memory::new()).run(&mut trace, 1_000_000);
         let events: Vec<Event> = trace.events().to_vec();
 
-        let mut batched = GangHarness::new();
-        let mut per_event = GangHarness::new();
-        for gang in [&mut batched, &mut per_event] {
-            gang.push_lane(Gshare::new(10, 10), HarnessConfig::default());
-            gang.push_lane(Gshare::new(12, 12), HarnessConfig::default());
-        }
+        let two_lanes = || {
+            let mut harness = PredictionHarness::new(Gshare::new(10, 10), HarnessConfig::default());
+            harness.push_lane(Gshare::new(12, 12), HarnessConfig::default());
+            harness
+        };
+        let (mut batched, mut per_event) = (two_lanes(), two_lanes());
         batched.events(&events);
         for event in &events {
             per_event.event(event);
         }
-        let (b, p) = (batched.into_lanes(), per_event.into_lanes());
-        for i in 0..2 {
-            assert_eq!(b[i].metrics(), p[i].metrics(), "lane {i}");
-            assert_eq!(b[i].predictor(), p[i].predictor(), "lane {i}");
-        }
+        assert_eq!(batched.into_lanes(), per_event.into_lanes());
     }
 
     #[test]
-    fn empty_gang_is_a_no_op_sink() {
-        let mut gang: GangHarness<Gshare> = GangHarness::new();
-        assert!(gang.is_empty());
-        gang.events(&[]);
-        gang.finish();
-        assert_eq!(gang.into_metrics().len(), 0);
+    #[should_panic(expected = "same resolve latency")]
+    fn lanes_must_share_the_resolve_latency() {
+        let mut harness = PredictionHarness::new(Gshare::new(10, 10), HarnessConfig::default());
+        harness.push_lane(
+            Gshare::new(10, 10),
+            HarnessConfig {
+                timing: Timing::immediate(DEFAULT_RESOLVE_LATENCY + 1),
+                insert: InsertFilter::All,
+            },
+        );
     }
 
     #[test]

@@ -77,7 +77,6 @@ mod pgu;
 mod predictor;
 mod ring;
 mod sfpf;
-mod stack;
 mod tables;
 mod tournament;
 
@@ -86,7 +85,7 @@ pub use bimodal::Bimodal;
 pub use config::{build_predictor, PredictorSpec};
 pub use filter::{guard_def_pcs, InsertFilter};
 pub use gshare::Gshare;
-pub use harness::{GangHarness, HarnessConfig, PredictionHarness, Timing};
+pub use harness::{HarnessConfig, PredictionHarness, Timing};
 pub use history::{FoldedHistory, GlobalHistory, LongHistory, MAX_LONG_HISTORY};
 pub use hot::HotBranches;
 pub use local::Local;
@@ -99,6 +98,5 @@ pub use predictor::{
 };
 pub use ring::{checkpoint_capacity, Checkpoints, Ring, CHECKPOINT_CAPACITY, WINDOW_CAPACITY};
 pub use sfpf::SquashFilter;
-pub use stack::{build_predictor_stack, PredictorStack, StackVariant};
 pub use tables::{CounterTable, TwoBitCounter};
 pub use tournament::Tournament;

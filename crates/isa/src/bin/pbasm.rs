@@ -9,7 +9,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use predbranch_isa::{assemble, decode_program, encode_program, Inst, Program};
+use predbranch_isa::{assemble, decode_program, encode_program, outln, Inst, Program};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,7 +32,7 @@ fn main() -> ExitCode {
             Ok(program) => match encode_program(&program) {
                 Ok(words) => {
                     for word in words {
-                        println!("{word:016x}");
+                        outln!("{word:016x}");
                     }
                     ExitCode::SUCCESS
                 }
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
             match decode_program(&words) {
                 Ok(insts) => {
                     for (pc, inst) in insts.iter().enumerate() {
-                        println!("{pc:>6}: {inst}");
+                        outln!("{pc:>6}: {inst}");
                     }
                     ExitCode::SUCCESS
                 }
@@ -79,10 +79,10 @@ fn main() -> ExitCode {
                 print_stats(&program);
                 let lints = predbranch_isa::lint_program(&program);
                 if lints.is_empty() {
-                    println!("lints:                none");
+                    outln!("lints:                none");
                 } else {
                     for lint in &lints {
-                        println!("lint: {lint}");
+                        outln!("lint: {lint}");
                     }
                 }
                 ExitCode::SUCCESS
@@ -101,19 +101,19 @@ fn main() -> ExitCode {
 
 fn print_stats(program: &Program) {
     let s = program.stats();
-    println!("instructions:         {}", s.instructions);
-    println!("branches:             {}", s.branches);
-    println!("  conditional:        {}", s.conditional_branches);
-    println!("  region-based:       {}", s.region_branches);
-    println!("compares:             {}", s.compares);
-    println!("predicated:           {}", s.predicated);
+    outln!("instructions:         {}", s.instructions);
+    outln!("branches:             {}", s.branches);
+    outln!("  conditional:        {}", s.conditional_branches);
+    outln!("  region-based:       {}", s.region_branches);
+    outln!("compares:             {}", s.compares);
+    outln!("predicated:           {}", s.predicated);
     let guards: std::collections::BTreeSet<_> = program
         .insts()
         .iter()
         .filter(|i| i.is_predicated())
         .map(|i: &Inst| i.guard)
         .collect();
-    println!(
+    outln!(
         "guard predicates used: {}",
         guards
             .iter()

@@ -52,6 +52,7 @@
 #![warn(missing_debug_implementations)]
 
 mod asm;
+pub mod cli;
 mod encode;
 mod error;
 mod inst;

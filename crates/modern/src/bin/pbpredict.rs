@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! pbpredict <file.s> [--predictor SPEC] [--latency L] [--retire-latency R] [--max N]
-//! pbpredict --list-stacks
 //!
 //! SPEC examples:  gshare:13/13          bimodal:14
 //!                 gshare:13/13+sfpf     gshare:13/13+pgu8
@@ -16,8 +15,8 @@ use std::fs;
 use std::process::ExitCode;
 
 use predbranch_core::{BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness, Timing};
-use predbranch_isa::assemble;
-use predbranch_modern::{all_stack_variants, build_modern_stack, ModernSpec};
+use predbranch_isa::{assemble, outln};
+use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{Executor, Memory, PipelineConfig, DEFAULT_RETIRE_LATENCY};
 
 struct Options {
@@ -26,7 +25,6 @@ struct Options {
     latency: u64,
     retire_latency: u64,
     max: u64,
-    list_stacks: bool,
 }
 
 fn parse_args() -> Option<Options> {
@@ -37,7 +35,6 @@ fn parse_args() -> Option<Options> {
         latency: 8,
         retire_latency: DEFAULT_RETIRE_LATENCY,
         max: 10_000_000,
-        list_stacks: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -45,42 +42,26 @@ fn parse_args() -> Option<Options> {
             "--latency" => opts.latency = args.next()?.parse().ok()?,
             "--retire-latency" => opts.retire_latency = args.next()?.parse().ok()?,
             "--max" => opts.max = args.next()?.parse().ok()?,
-            "--list-stacks" => opts.list_stacks = true,
             path if opts.path.is_empty() && !path.starts_with('-') => {
                 opts.path = path.to_string();
             }
             _ => return None,
         }
     }
-    if opts.path.is_empty() && !opts.list_stacks {
+    if opts.path.is_empty() {
         None
     } else {
         Some(opts)
     }
 }
 
-/// Prints every statically-dispatched stack variant. The table is
-/// emitted by the stack-generating macros from the same token stream as
-/// the dispatch enums, so this listing cannot drift from the code (the
-/// CLI integration test diffs it against the library table).
-fn list_stacks() {
-    println!("available predictor stacks (variant  payload type):");
-    for variant in all_stack_variants() {
-        println!("  {:<20} {}", variant.name, variant.type_name());
-    }
-}
-
 fn main() -> ExitCode {
     let Some(opts) = parse_args() else {
         eprintln!(
-            "usage: pbpredict <file.s> [--predictor SPEC] [--latency L] [--retire-latency R] [--max N]\n       pbpredict --list-stacks"
+            "usage: pbpredict <file.s> [--predictor SPEC] [--latency L] [--retire-latency R] [--max N]"
         );
         return ExitCode::FAILURE;
     };
-    if opts.list_stacks {
-        list_stacks();
-        return ExitCode::SUCCESS;
-    }
     let text = match fs::read_to_string(&opts.path) {
         Ok(t) => t,
         Err(e) => {
@@ -103,9 +84,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let predictor = build_modern_stack(&spec);
-    println!("predictor:        {}", predictor.name());
-    println!("storage bits:     {}", predictor.storage_bits());
+    let predictor = build_modern(&spec);
+    outln!("predictor:        {}", predictor.name());
+    outln!("storage bits:     {}", predictor.storage_bits());
     let mut harness = PredictionHarness::new(
         predictor,
         HarnessConfig {
@@ -118,18 +99,18 @@ fn main() -> ExitCode {
     harness.finish();
 
     let m = harness.metrics();
-    println!("halted:           {}", summary.halted);
-    println!("instructions:     {}", summary.instructions);
-    println!("cond branches:    {}", m.all.branches);
-    println!("mispredictions:   {}", m.all.mispredictions);
-    println!("misp rate:        {}", m.all.misp_rate());
-    println!("  region:         {}", m.region.misp_rate());
-    println!("  non-region:     {}", m.non_region.misp_rate());
-    println!("MPKI:             {:.3}", m.mpki(summary.instructions));
-    println!("kf-guard fetches: {}", m.known_false_guard);
+    outln!("halted:           {}", summary.halted);
+    outln!("instructions:     {}", summary.instructions);
+    outln!("cond branches:    {}", m.all.branches);
+    outln!("mispredictions:   {}", m.all.mispredictions);
+    outln!("misp rate:        {}", m.all.misp_rate());
+    outln!("  region:         {}", m.region.misp_rate());
+    outln!("  non-region:     {}", m.non_region.misp_rate());
+    outln!("MPKI:             {:.3}", m.mpki(summary.instructions));
+    outln!("kf-guard fetches: {}", m.known_false_guard);
     if let Some(timeline) = harness.timeline() {
-        println!("cycles:           {}", timeline.cycles());
-        println!("IPC:              {:.3}", timeline.ipc());
+        outln!("cycles:           {}", timeline.cycles());
+        outln!("IPC:              {:.3}", timeline.ipc());
     }
     if summary.halted {
         ExitCode::SUCCESS

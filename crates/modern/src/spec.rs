@@ -11,6 +11,9 @@ use crate::tage::Tage;
 /// A predictor configuration that may be a classic spec or one of the
 /// modern-tier predictors, with the same SFPF/PGU composition rules.
 ///
+/// The text grammar is documented on its [`std::str::FromStr`] impl,
+/// and [`build_modern`] turns any spec into a `Box<dyn BranchPredictor>`.
+///
 /// Every classic spec is representable as a transparent
 /// [`ModernSpec::Classic`] — `Debug` and `Display` delegate to the
 /// inner spec, so code keyed on a spec's `Debug` rendering (the bench

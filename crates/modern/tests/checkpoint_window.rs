@@ -14,7 +14,7 @@ use predbranch_core::{
     checkpoint_capacity, HarnessConfig, InsertFilter, PredictionHarness, Timing, WINDOW_CAPACITY,
 };
 use predbranch_isa::assemble;
-use predbranch_modern::{build_modern_stack, ModernSpec};
+use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{Executor, Memory};
 
 /// A loop long enough that, once the predictor warms up, well over
@@ -43,7 +43,7 @@ fn run_spec(spec: &str, retire_latency: u64) -> (u64, usize) {
     let program = assemble(LONG_LOOP).unwrap();
     let spec: ModernSpec = spec.parse().unwrap();
     let mut harness = PredictionHarness::new(
-        build_modern_stack(&spec),
+        build_modern(&spec),
         HarnessConfig {
             timing: Timing::new(8, retire_latency),
             insert: InsertFilter::All,

@@ -108,31 +108,3 @@ fn bad_spec_is_rejected() {
     assert!(err.contains("bad predictor spec"), "{err}");
     fs::remove_file(src).ok();
 }
-
-#[test]
-fn stack_listing_matches_the_generated_table() {
-    // the printed listing must be exactly the variants the stack macros
-    // emitted — one line per variant, names and payload types matching
-    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-        .arg("--list-stacks")
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    let printed: Vec<(String, String)> = text
-        .lines()
-        .skip(1) // header
-        .map(|line| {
-            let mut cols = line.split_whitespace();
-            (
-                cols.next().unwrap().to_string(),
-                cols.next().unwrap().to_string(),
-            )
-        })
-        .collect();
-    let expected: Vec<(String, String)> = predbranch_modern::all_stack_variants()
-        .iter()
-        .map(|v| (v.name.to_string(), v.type_name()))
-        .collect();
-    assert_eq!(printed, expected, "CLI listing drifted from the enum");
-}

@@ -21,9 +21,9 @@
 //!   cache, so sweeps execute each (binary, input) once;
 //! * [`sweep`] — a deterministic work-stealing sweep engine (worker
 //!   pool, run manifests, resumable checkpoints) whose parallel output
-//!   is byte-identical to sequential; sweeps run *gang-replayed* by
-//!   default — one pass over each event stream feeds every predictor
-//!   configuration as an independent `GangHarness` lane;
+//!   is byte-identical to sequential; sweeps run *gang-replayed* —
+//!   one pass over each event stream feeds every predictor
+//!   configuration as an independent lane of one `PredictionHarness`;
 //! * [`characterize`] — streaming predictability characterization:
 //!   per-branch entropy / mutual-information metrics and the four-way
 //!   H2P taxonomy (biased / history-predictable / predicate-predictable

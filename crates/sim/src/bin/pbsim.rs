@@ -8,7 +8,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use predbranch_isa::assemble;
+use predbranch_isa::{assemble, outln};
 use predbranch_sim::{Event, ExecMetrics, Executor, GuardKnowledgeStats, Memory, TraceSink};
 
 struct Options {
@@ -98,14 +98,14 @@ fn main() -> ExitCode {
     if opts.trace {
         for event in trace.events() {
             match event {
-                Event::Branch(b) => println!(
+                Event::Branch(b) => outln!(
                     "branch  @{:>5} pc {:>5} guard {:<4} {}",
                     b.index,
                     b.pc,
                     b.guard.to_string(),
                     if b.taken { "taken" } else { "not-taken" }
                 ),
-                Event::PredWrite(w) => println!(
+                Event::PredWrite(w) => outln!(
                     "predset @{:>5} pc {:>5} {:<4} = {}",
                     w.index,
                     w.pc,
@@ -116,15 +116,15 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("halted:              {}", summary.halted);
-    println!("instructions:        {}", summary.instructions);
-    println!("branches:            {}", summary.branches);
-    println!("  conditional:       {}", summary.conditional_branches);
-    println!("  taken:             {}", summary.taken_conditional);
-    println!("  region-based:      {}", summary.region_branches);
-    println!("predicate writes:    {}", summary.pred_writes);
-    println!("taken fraction:      {}", metrics.taken_fraction());
-    println!(
+    outln!("halted:              {}", summary.halted);
+    outln!("instructions:        {}", summary.instructions);
+    outln!("branches:            {}", summary.branches);
+    outln!("  conditional:       {}", summary.conditional_branches);
+    outln!("  taken:             {}", summary.taken_conditional);
+    outln!("  region-based:      {}", summary.region_branches);
+    outln!("predicate writes:    {}", summary.pred_writes);
+    outln!("taken fraction:      {}", metrics.taken_fraction());
+    outln!(
         "guard @fetch (lat {}): known-false {} / known-true {} / unknown {}",
         opts.latency,
         knowledge.known_false(),

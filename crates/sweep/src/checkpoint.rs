@@ -4,7 +4,9 @@
 //! cell, `{"k": <key>, "ms": <wall_ms>, "v": <payload>}`. Appends are
 //! flushed per line, so a sweep killed at any instant loses at most the
 //! line being written; on reopen, a torn trailing line is detected and
-//! ignored (the cell simply re-runs). Keys are expected to be
+//! ignored (the cell simply re-runs). An unparsable line anywhere else
+//! cannot come from a kill, so it is reported as corruption instead of
+//! silently dropping the entries after it. Keys are expected to be
 //! content-addressed by the caller — a resumed sweep trusts an entry
 //! *only* because its key encodes everything that determines the
 //! result.
@@ -28,10 +30,18 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Opens (creating if absent) the journal at `path`, loading every
-    /// intact entry. A corrupt or torn tail — a journal whose writer was
+    /// intact entry. A torn final line — a journal whose writer was
     /// killed mid-append — is *truncated away*, not fatal: the affected
     /// cell simply re-runs, and subsequent appends start on a fresh
     /// line instead of gluing onto the torn one.
+    ///
+    /// # Errors
+    ///
+    /// Besides I/O errors, returns [`io::ErrorKind::InvalidData`] naming
+    /// the 1-based line number when a line *before* the final one does
+    /// not parse: appends are whole lines, so only the last line can be
+    /// torn, and anything else is corruption that would otherwise drop
+    /// every later entry.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let mut completed = HashMap::new();
@@ -41,7 +51,8 @@ impl Checkpoint {
             // reading whole is cheap even for huge sweeps
             Ok(text) => {
                 let mut offset = 0usize;
-                for segment in text.split_inclusive('\n') {
+                let mut segments = text.split_inclusive('\n').enumerate().peekable();
+                while let Some((index, segment)) = segments.next() {
                     let terminated = segment.ends_with('\n');
                     let line = segment.trim_end_matches(['\n', '\r']);
                     let entry = if line.trim().is_empty() {
@@ -49,7 +60,14 @@ impl Checkpoint {
                     } else {
                         match Json::parse(line) {
                             Ok(entry) => Some(entry),
-                            Err(_) => break, // torn tail: drop it and stop
+                            // torn tail: drop it and stop
+                            Err(_) if segments.peek().is_none() => break,
+                            Err(e) => {
+                                return Err(io::Error::new(
+                                    io::ErrorKind::InvalidData,
+                                    format!("corrupt journal line {}: {e}", index + 1),
+                                ))
+                            }
                         }
                     };
                     if !terminated {
@@ -199,6 +217,33 @@ mod tests {
         drop(reopened);
         let again = Checkpoint::open(&path).unwrap();
         assert!(again.lookup("new").is_some());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_line_before_the_tail_is_an_error_naming_the_line() {
+        let path = tmp("corrupt");
+        let _ = std::fs::remove_file(&path);
+        let ckpt = Checkpoint::open(&path).unwrap();
+        for key in ["first", "second", "third"] {
+            ckpt.record(key, 1, &Json::from(1u64)).unwrap();
+        }
+        drop(ckpt);
+        // garble the middle entry; the intact third line follows it, so
+        // this cannot be a torn append
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[1] = "{\"k\":\"second\",\"ms\":";
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+        let err = Checkpoint::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2"), "{err}");
+        // refusing to open must leave the journal untouched
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            lines.join("\n") + "\n"
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

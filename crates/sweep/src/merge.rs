@@ -61,12 +61,15 @@ impl fmt::Display for MergeReport {
 ///
 /// Two entries sharing a key with *different* payloads — equal
 /// content-addressed keys must mean equal results, so this is refused,
-/// naming the key and the offending input.
+/// naming the key and the offending input. An unparsable line before an
+/// input's final line is corruption, not a torn append, and is refused
+/// naming the input and the 1-based line number.
 pub fn merge_journals(inputs: &[(String, String)]) -> Result<(String, MergeReport), String> {
     let mut merged: BTreeMap<String, String> = BTreeMap::new();
     let mut report = MergeReport::default();
     for (name, text) in inputs {
-        for segment in text.split_inclusive('\n') {
+        let mut segments = text.split_inclusive('\n').enumerate().peekable();
+        while let Some((index, segment)) = segments.next() {
             if !segment.ends_with('\n') {
                 break; // torn tail: the loader would re-run it too
             }
@@ -74,8 +77,10 @@ pub fn merge_journals(inputs: &[(String, String)]) -> Result<(String, MergeRepor
             if line.trim().is_empty() {
                 continue;
             }
-            let Ok(entry) = Json::parse(line) else {
-                break; // torn mid-file write: stop trusting this input
+            let entry = match Json::parse(line) {
+                Ok(entry) => entry,
+                Err(_) if segments.peek().is_none() => break, // torn tail
+                Err(e) => return Err(format!("{name}: corrupt journal line {}: {e}", index + 1)),
             };
             let (Some(key), Some(payload)) =
                 (entry.get("k").and_then(Json::as_str), entry.get("v"))
@@ -240,6 +245,17 @@ mod tests {
         let (merged, report) = merge_journals(&[("torn".into(), torn)]).unwrap();
         assert_eq!(merged, "{\"k\":\"a\",\"v\":1}\n");
         assert_eq!(report.entries, 1);
+    }
+
+    #[test]
+    fn journal_merge_refuses_a_corrupt_line_before_the_tail() {
+        let corrupt = format!(
+            "{}garbage\n{}",
+            journal_line("a", 1, 1),
+            journal_line("b", 1, 2)
+        );
+        let err = merge_journals(&[("s0.ckpt".into(), corrupt)]).unwrap_err();
+        assert!(err.contains("s0.ckpt") && err.contains("line 2"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use predbranch_characterize::{Characterization, Characterizer};
-use predbranch_isa::{assemble, Program};
+use predbranch_isa::{assemble, outln, Program};
 use predbranch_sim::{Event, Executor, Memory};
 use predbranch_sweep::{Json, WorkerPool};
 use predbranch_trace::{program_hash, TraceHeader, TraceReader, TraceWriter};
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
         Some("characterize") => characterize(&args[1..]),
         Some("list") => {
             for bench in suite() {
-                println!("{:<12} {}", bench.name(), bench.description());
+                outln!("{:<12} {}", bench.name(), bench.description());
             }
             Ok(())
         }
@@ -124,7 +124,7 @@ fn record(args: &[String]) -> Result<(), String> {
                 compiled.predicated
             };
             let variant = if plain { "plain" } else { "pred" };
-            println!(
+            outln!(
                 "compiled {} ({variant}, options fingerprint {:016x})",
                 bench.name(),
                 opts.fingerprint()
@@ -148,7 +148,7 @@ fn record(args: &[String]) -> Result<(), String> {
 
     let summary = record_program(&name, &program, memory, seed, budget, &out)
         .map_err(|e| format!("recording {out}: {e}"))?;
-    println!(
+    outln!(
         "recorded {out}: {} instructions, {} branches ({} conditional), {} pred writes{}",
         summary.instructions,
         summary.branches,
@@ -198,24 +198,26 @@ fn info(args: &[String]) -> Result<(), String> {
             .field("instructions", json_u64(stats.summary.instructions))
             .field("halted", stats.summary.halted)
             .field("checksum", format!("{:016x}", stats.checksum));
-        println!("{}", doc.pretty());
+        outln!("{}", doc.pretty());
         return Ok(());
     }
-    println!("file:          {path}");
-    println!("format:        PBTR v{}", predbranch_trace::FORMAT_VERSION);
-    println!("benchmark:     {}", header.name);
-    println!("program hash:  {:016x}", header.program_hash);
-    println!("input seed:    {:#x}", header.seed);
-    println!("budget:        {}", header.budget);
-    println!("events:        {}", stats.events);
-    println!(
+    outln!("file:          {path}");
+    outln!("format:        PBTR v{}", predbranch_trace::FORMAT_VERSION);
+    outln!("benchmark:     {}", header.name);
+    outln!("program hash:  {:016x}", header.program_hash);
+    outln!("input seed:    {:#x}", header.seed);
+    outln!("budget:        {}", header.budget);
+    outln!("events:        {}", stats.events);
+    outln!(
         "  branches:    {} ({} conditional, {} region)",
-        stats.branches, stats.summary.conditional_branches, stats.summary.region_branches
+        stats.branches,
+        stats.summary.conditional_branches,
+        stats.summary.region_branches
     );
-    println!("  pred writes: {}", stats.pred_writes);
-    println!("instructions:  {}", stats.summary.instructions);
-    println!("halted:        {}", stats.summary.halted);
-    println!("checksum:      {:016x}", stats.checksum);
+    outln!("  pred writes: {}", stats.pred_writes);
+    outln!("instructions:  {}", stats.summary.instructions);
+    outln!("halted:        {}", stats.summary.halted);
+    outln!("checksum:      {:016x}", stats.checksum);
     Ok(())
 }
 
@@ -235,7 +237,7 @@ fn dump(args: &[String]) -> Result<(), String> {
     let (events, stats) = reader.read_events().map_err(|e| format!("{path}: {e}"))?;
     for event in events.iter().take(limit as usize) {
         match event {
-            Event::Branch(b) => println!(
+            Event::Branch(b) => outln!(
                 "{:>10}  branch     pc={:<6} target={:<6} {} {}{}",
                 b.index,
                 b.pc,
@@ -248,18 +250,25 @@ fn dump(args: &[String]) -> Result<(), String> {
                 },
                 b.region.map_or(String::new(), |r| format!(" region={r}")),
             ),
-            Event::PredWrite(p) => println!(
+            Event::PredWrite(p) => outln!(
                 "{:>10}  pred-write pc={:<6} {}={} (guard {}={})",
-                p.index, p.pc, p.preg, p.value as u8, p.guard, p.guard_value as u8,
+                p.index,
+                p.pc,
+                p.preg,
+                p.value as u8,
+                p.guard,
+                p.guard_value as u8,
             ),
         }
     }
     if (events.len() as u64) > limit {
-        println!("... {} more events", events.len() as u64 - limit);
+        outln!("... {} more events", events.len() as u64 - limit);
     }
-    println!(
+    outln!(
         "{} events, {} instructions, checksum {:016x}",
-        stats.events, stats.summary.instructions, stats.checksum
+        stats.events,
+        stats.summary.instructions,
+        stats.checksum
     );
     Ok(())
 }
@@ -278,14 +287,15 @@ fn verify_one(path: &std::path::Path, quiet: bool) -> u64 {
     }) {
         Ok((name, stats)) => {
             if !quiet {
-                println!(
+                outln!(
                     "{shown}: OK ({name}, {} events, checksum {:016x})",
-                    stats.events, stats.checksum
+                    stats.events,
+                    stats.checksum
                 );
             }
         }
         Err(e) => {
-            println!("{shown}: FAILED: {e}");
+            outln!("{shown}: FAILED: {e}");
             failed += 1;
         }
     }
@@ -294,7 +304,7 @@ fn verify_one(path: &std::path::Path, quiet: bool) -> u64 {
         match predbranch_trace::TraceMap::open_bound(path) {
             Ok(map) => {
                 if !quiet {
-                    println!(
+                    outln!(
                         "{}: OK ({} events, segment-served)",
                         seg.display(),
                         map.header().event_count
@@ -302,7 +312,7 @@ fn verify_one(path: &std::path::Path, quiet: bool) -> u64 {
                 }
             }
             Err(e) => {
-                println!("{}: FAILED: {e}", seg.display());
+                outln!("{}: FAILED: {e}", seg.display());
                 failed += 1;
             }
         }
@@ -330,7 +340,7 @@ fn verify(args: &[String]) -> Result<(), String> {
         return Err(format!("{failed} file(s) under {path} failed verification"));
     }
     if !quiet {
-        println!("{}: all traces verified", path);
+        outln!("{}: all traces verified", path);
     }
     Ok(())
 }
@@ -349,19 +359,19 @@ fn migrate(args: &[String]) -> Result<(), String> {
     for file in &files {
         match predbranch_trace::migrate_trace(file) {
             Ok(predbranch_trace::MigrateOutcome::Built) => {
-                println!("{}: built", predbranch_trace::segment_path(file).display());
+                outln!("{}: built", predbranch_trace::segment_path(file).display());
                 built += 1;
             }
             Ok(predbranch_trace::MigrateOutcome::UpToDate) => {
                 current += 1;
             }
             Err(e) => {
-                println!("{}: FAILED: {e}", file.display());
+                outln!("{}: FAILED: {e}", file.display());
                 failed += 1;
             }
         }
     }
-    println!("migrated {dir}: {built} built, {current} up to date, {failed} failed");
+    outln!("migrated {dir}: {built} built, {current} up to date, {failed} failed");
     if failed > 0 {
         return Err(format!("{failed} entr(ies) under {dir} failed to migrate"));
     }
@@ -480,26 +490,26 @@ fn stats(args: &[String]) -> Result<(), String> {
                     .field("exceeds_capacity", memo_exceeded),
             )
             .field("benchmarks", Json::Arr(benchmarks));
-        println!("{}", doc.pretty());
+        outln!("{}", doc.pretty());
         return Ok(());
     }
 
     if entries.is_empty() {
-        println!("{dir}: empty cache (0 entries)");
+        outln!("{dir}: empty cache (0 entries)");
         return Ok(());
     }
-    println!("cache:     {dir}");
-    println!("entries:   {}", entries.len());
-    println!("bytes:     {total_bytes} ({})", human_bytes(total_bytes));
+    outln!("cache:     {dir}");
+    outln!("entries:   {}", entries.len());
+    outln!("bytes:     {total_bytes} ({})", human_bytes(total_bytes));
     if corrupt > 0 {
-        println!("corrupt:   {corrupt} (unreadable headers)");
+        outln!("corrupt:   {corrupt} (unreadable headers)");
     }
-    println!(
+    outln!(
         "segments:  {segments} of {} entries segment-served ({})",
         entries.len(),
         human_bytes(segment_bytes)
     );
-    println!(
+    outln!(
         "memo:      {} of {} v1-only streams decodable at once; this process: \
          {} hits, {} misses, {} evictions",
         (v1_only as usize).min(memo.capacity),
@@ -509,7 +519,7 @@ fn stats(args: &[String]) -> Result<(), String> {
         memo.evictions
     );
     if memo_exceeded {
-        println!(
+        outln!(
             "warning:   {v1_only} v1-only traces exceed the {}-stream \
              decoded-event memo; per-cell sweeps over them will evict and \
              re-decode (run `pbtrace migrate` to build segment sidecars, \
@@ -517,10 +527,10 @@ fn stats(args: &[String]) -> Result<(), String> {
             memo.capacity
         );
     }
-    println!();
-    println!("{:<14} {:>8} {:>14}", "benchmark", "entries", "bytes");
+    outln!();
+    outln!("{:<14} {:>8} {:>14}", "benchmark", "entries", "bytes");
     for (bench, (count, bytes)) in &per_bench {
-        println!("{bench:<14} {count:>8} {bytes:>14}");
+        outln!("{bench:<14} {count:>8} {bytes:>14}");
     }
     Ok(())
 }
@@ -593,16 +603,16 @@ fn characterize(args: &[String]) -> Result<(), String> {
                 }
                 buckets
             });
-        println!("{}", doc.pretty());
+        outln!("{}", doc.pretty());
         return Ok(());
     }
 
     for (i, (_, benchmark, report)) in results.iter().enumerate() {
         if i > 0 {
-            println!();
+            outln!();
         }
-        println!("{}", report.table(benchmark.as_str()));
-        println!("{}", report.summary());
+        outln!("{}", report.table(benchmark.as_str()));
+        outln!("{}", report.summary());
     }
     Ok(())
 }

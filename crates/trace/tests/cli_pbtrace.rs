@@ -292,3 +292,36 @@ fn characterize_rejects_missing_paths() {
     // and it must not have created the directory
     assert!(!std::path::Path::new("/nonexistent/predbranch-cache").exists());
 }
+
+#[test]
+fn dump_into_a_closed_pipe_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = scratch_dir("epipe");
+    let trace = record_quick(&dir);
+    // the full dump is megabytes, far past any pipe buffer, so the
+    // writer is still mid-stream when the reader goes away — the
+    // `pbtrace dump g.pbt | head -1` shape
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pbtrace"))
+        .args(["dump", &trace])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(
+        first.contains("branch") || first.contains("pred-write"),
+        "{first}"
+    );
+    // the reader (and with it the pipe's read end) is dropped here
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "pbtrace panicked: {err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(!err.contains("panicked"), "{err}");
+    fs::remove_dir_all(dir).ok();
+}

@@ -12,6 +12,7 @@
 
 use std::process::ExitCode;
 
+use predbranch_isa::{out, outln};
 use predbranch_workloads::{compile_benchmark, suite, CompileOptions, IfConvertConfig};
 
 struct Options {
@@ -54,7 +55,7 @@ fn main() -> ExitCode {
     };
     if opts.bench == "list" {
         for bench in suite() {
-            println!("{:<9} {}", bench.name(), bench.description());
+            outln!("{:<9} {}", bench.name(), bench.description());
         }
         return ExitCode::SUCCESS;
     }
@@ -73,16 +74,16 @@ fn main() -> ExitCode {
     let compiled = compile_benchmark(&bench, &compile_opts);
 
     if opts.report {
-        println!("benchmark:           {}", compiled.name);
-        println!("plain instructions:  {}", compiled.plain.len());
-        println!("pred  instructions:  {}", compiled.predicated.len());
+        outln!("benchmark:           {}", compiled.name);
+        outln!("plain instructions:  {}", compiled.plain.len());
+        outln!("pred  instructions:  {}", compiled.predicated.len());
         let stats = compiled.ifconv_stats;
-        println!("regions formed:      {}", stats.regions_formed);
-        println!("branches converted:  {}", stats.branches_converted);
-        println!("region branches:     {}", stats.branches_kept);
-        println!("blocks predicated:   {}", stats.blocks_predicated);
+        outln!("regions formed:      {}", stats.regions_formed);
+        outln!("branches converted:  {}", stats.branches_converted);
+        outln!("region branches:     {}", stats.branches_kept);
+        outln!("blocks predicated:   {}", stats.blocks_predicated);
         for region in &compiled.regions {
-            println!(
+            outln!(
                 "  region {:>2} @ {:<5} {:>2} blocks, {} converted, {} kept",
                 region.id,
                 region.seed.to_string(),
@@ -99,6 +100,6 @@ fn main() -> ExitCode {
     } else {
         &compiled.plain
     };
-    print!("{program}");
+    out!("{program}");
     ExitCode::SUCCESS
 }
