@@ -10,6 +10,9 @@
 //! experiments --trace-cache .traces f5
 //!                            # execute each (binary, input) once,
 //!                            # replay recorded traces for every predictor
+//!                            # (served from each trace's .pbtd sidecar;
+//!                            # a missing or stale sidecar is rebuilt
+//!                            # on the replay that finds it)
 //! experiments --jobs 8 all   # run experiment cells on 8 worker lanes;
 //!                            # stdout is byte-identical to --jobs 1
 //! experiments --retire-latency 8 f3
@@ -33,20 +36,17 @@
 //!                            # forms, exactly-once by cell key; a
 //!                            # finalize pass over merged.ckpt then
 //!                            # reprints the sweep byte-identically
-//! experiments --memo-streams 16 --trace-cache .traces all
-//!                            # cap the decoded-event memo (v1-only
-//!                            # fallback path) at 16 streams
-//! experiments bench --json --quick
-//!                            # measure trace serving (segment-served vs
-//!                            # decode-per-replay) and write BENCH_7.json
 //! ```
+//!
+//! The sweep's timing and per-layer figures come from the repository
+//! benchmark (`sweepbench/`), not from this binary.
 
 use std::process::ExitCode;
 
 use predbranch_bench::experiments::find_experiment;
 use predbranch_bench::runner::{RunContext, Shard};
-use predbranch_bench::{all_experiments, benchmode, Scale};
-use predbranch_isa::{out, outln};
+use predbranch_bench::{all_experiments, Scale};
+use predbranch_isa::outln;
 use predbranch_sweep::{merge_journals, merge_manifests, Json, ManifestBuilder};
 
 /// The `merge` subcommand: stitch shard-scoped journals (`.ckpt`
@@ -107,7 +107,6 @@ fn main() -> ExitCode {
     let quick = flag("--quick");
     let bars = flag("--bars");
     let markdown = flag("--markdown");
-    let json = flag("--json");
     let mut valued = |name: &str| -> Result<Option<String>, String> {
         match args.iter().position(|a| a == name) {
             Some(pos) if pos + 1 < args.len() => {
@@ -119,7 +118,7 @@ fn main() -> ExitCode {
             None => Ok(None),
         }
     };
-    let (trace_cache, jobs, manifest_path, checkpoint_path, retire, out, shard, memo) = match (
+    let (trace_cache, jobs, manifest_path, checkpoint_path, retire, out, shard) = match (
         valued("--trace-cache"),
         valued("--jobs"),
         valued("--manifest"),
@@ -127,10 +126,9 @@ fn main() -> ExitCode {
         valued("--retire-latency"),
         valued("--out"),
         valued("--shard"),
-        valued("--memo-streams"),
     ) {
-        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(o), Ok(s), Ok(ms)) => (tc, j, m, c, r, o, s, ms),
-        (tc, j, m, c, r, o, s, ms) => {
+        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(o), Ok(s)) => (tc, j, m, c, r, o, s),
+        (tc, j, m, c, r, o, s) => {
             for err in [
                 tc.err(),
                 j.err(),
@@ -139,7 +137,6 @@ fn main() -> ExitCode {
                 r.err(),
                 o.err(),
                 s.err(),
-                ms.err(),
             ]
             .into_iter()
             .flatten()
@@ -170,13 +167,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let memo: Option<usize> = match memo.as_deref().map(str::parse).transpose() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("--memo-streams needs a non-negative integer: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
 
     if args.first().map(String::as_str) == Some("merge") {
         return match run_merge(out.as_deref(), manifest_path.as_deref(), &args[1..]) {
@@ -188,26 +178,7 @@ fn main() -> ExitCode {
         };
     }
 
-    if args.iter().any(|a| a == "bench") {
-        eprintln!("running bench — trace-serving throughput ...");
-        let report = benchmode::run_bench(quick);
-        out!("{}", report.to_text());
-        if json {
-            let path = out.as_deref().unwrap_or("BENCH_7.json");
-            let body = format!("{}\n", report.to_json().render());
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let mut ctx = RunContext::new().with_jobs(jobs);
-    if let Some(n) = memo {
-        ctx = ctx.with_memo_streams(n);
-    }
     if let Some(s) = shard {
         ctx = ctx.with_shard(s);
         if checkpoint_path.is_none() {
@@ -273,9 +244,8 @@ fn main() -> ExitCode {
         outln!("experiments — regenerate the study's tables and figures\n");
         outln!(
             "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
-             [--trace-cache <dir>] [--memo-streams N] [--shard i/N] \
+             [--trace-cache <dir>] [--shard i/N] \
              [--manifest <file>] [--checkpoint <file>] <id>... | all \
-             | bench [--json] [--out <file>] \
              | merge --out <merged.ckpt> --manifest <merged.json> <shard files>...\n"
         );
         for exp in all_experiments() {
@@ -338,10 +308,14 @@ fn main() -> ExitCode {
             "trace cache: {} replays, {} recordings",
             stats.replays, stats.recordings
         );
-        if let Some(memo) = ctx.memo_stats() {
+        if let Some(serve) = ctx.serve_stats() {
             eprintln!(
-                "decode memo: {} hits, {} misses, {} evictions (capacity {})",
-                memo.hits, memo.misses, memo.evictions, memo.capacity
+                "trace serving: {} sidecar replays, {} decoded replays, \
+                 {} sidecars built, {} sidecars rejected",
+                serve.segment_replays,
+                stats.replays.saturating_sub(serve.segment_replays),
+                serve.segment_builds,
+                serve.segment_rejects
             );
         }
     }

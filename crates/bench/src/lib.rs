@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod benchmode;
 pub mod experiments;
 pub mod runner;
 

@@ -29,7 +29,7 @@ use predbranch_isa::Program;
 use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{Event, EventSink, Executor, Memory, RunSummary, EVENT_BATCH_CAPACITY};
 use predbranch_sweep::{CellRecord, CellSource, Checkpoint, Json, ManifestBuilder, WorkerPool};
-use predbranch_trace::{memory_fingerprint, program_hash, CacheKey, TraceCache};
+use predbranch_trace::{memory_fingerprint, program_hash, CacheKey, ServeStats, TraceCache};
 use predbranch_workloads::{
     compile_benchmark, suite, Benchmark, CompileOptions, CompiledBenchmark,
     DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED,
@@ -339,7 +339,6 @@ pub struct RunContext {
     counters: Arc<RunCounters>,
     suites: Arc<Mutex<SuiteMemo>>,
     shard: Option<Shard>,
-    memo_streams: Option<usize>,
 }
 
 impl RunContext {
@@ -369,22 +368,8 @@ impl RunContext {
     /// ([`CacheKey::for_run`]), so results are numerically identical to
     /// live simulation.
     pub fn with_trace_cache(mut self, dir: impl AsRef<Path>) -> std::io::Result<Self> {
-        let mut cache = TraceCache::open(dir.as_ref())?;
-        if let Some(n) = self.memo_streams {
-            cache = cache.with_memo_capacity(n);
-        }
-        self.cache = Some(cache);
+        self.cache = Some(TraceCache::open(dir.as_ref())?);
         Ok(self)
-    }
-
-    /// Caps the trace cache's decoded-event memo at `streams`
-    /// concurrently memoized streams (0 disables the memo entirely).
-    /// The memo only serves v1-only cache entries — segment-served
-    /// streams never enter it — so this is a fallback-path knob.
-    pub fn with_memo_streams(mut self, streams: usize) -> Self {
-        self.memo_streams = Some(streams);
-        self.cache = self.cache.take().map(|c| c.with_memo_capacity(streams));
-        self
     }
 
     /// Restricts execution to one shard of a deterministically
@@ -464,11 +449,12 @@ impl RunContext {
         (stats.replays, stats.recordings)
     }
 
-    /// Decoded-event memo traffic of the attached trace cache (`None`
-    /// without one) — hit/miss/eviction counters that expose thrash at
-    /// the memo's stream bound.
-    pub fn memo_stats(&self) -> Option<predbranch_trace::MemoStats> {
-        self.cache.as_ref().map(TraceCache::memo_stats)
+    /// Which serving path the attached trace cache's replays took
+    /// (`None` without one): sidecar-served replays, sidecars built and
+    /// sidecars rejected. A replay not served from a sidecar was
+    /// decoded from its `.pbt`.
+    pub fn serve_stats(&self) -> Option<ServeStats> {
+        self.cache.as_ref().map(TraceCache::serve_stats)
     }
 
     /// The compiled suite, memoized per `limit` so a multi-experiment

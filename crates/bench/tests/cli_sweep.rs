@@ -1,6 +1,7 @@
 //! End-to-end sweep tests through the `experiments` binary: stdout must
-//! be byte-identical across `--jobs` levels, and `--manifest` must write
-//! a well-formed run record.
+//! be byte-identical across `--jobs` levels and trace-serving paths,
+//! `--manifest` must write a well-formed run record, and stderr must say
+//! which serving path the replays took.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -115,4 +116,87 @@ fn checkpointed_rerun_restores_instead_of_rerunning() {
         "second run must restore all six cells from the journal:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one stderr line that starts with `prefix`.
+fn stderr_line(out: &Output, prefix: &str) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    stderr
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{stderr}"))
+        .to_string()
+}
+
+#[test]
+fn trace_serving_line_reports_the_path_each_replay_took() {
+    let dir = tmp_dir("serving");
+    let cache = dir.join("traces");
+    let cache = cache.to_str().unwrap();
+    let args = ["--quick", "--trace-cache", cache, "f1"];
+    let live = experiments(&["--quick", "f1"]);
+
+    let cold = experiments(&args);
+    assert_eq!(cold.stdout, live.stdout, "recording run differs from live");
+    let recorded: u64 = stderr_line(&cold, "trace cache:")
+        .split_whitespace()
+        .nth(4)
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(recorded > 0);
+    assert_eq!(
+        stderr_line(&cold, "trace serving:"),
+        format!(
+            "trace serving: 0 sidecar replays, 0 decoded replays, \
+             {recorded} sidecars built, 0 sidecars rejected"
+        )
+    );
+
+    let warm = experiments(&args);
+    assert_eq!(
+        warm.stdout, live.stdout,
+        "sidecar-served run differs from live"
+    );
+    assert_eq!(
+        stderr_line(&warm, "trace cache:"),
+        format!("trace cache: {recorded} replays, 0 recordings")
+    );
+    assert_eq!(
+        stderr_line(&warm, "trace serving:"),
+        format!(
+            "trace serving: {recorded} sidecar replays, 0 decoded replays, \
+             0 sidecars built, 0 sidecars rejected"
+        )
+    );
+
+    // with every sidecar removed, each stream is decoded once and its
+    // sidecar rebuilt
+    for entry in std::fs::read_dir(cache).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "pbtd") {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let healed = experiments(&args);
+    assert_eq!(healed.stdout, live.stdout, "decoded run differs from live");
+    assert_eq!(
+        stderr_line(&healed, "trace serving:"),
+        format!(
+            "trace serving: 0 sidecar replays, {recorded} decoded replays, \
+             {recorded} sidecars built, 0 sidecars rejected"
+        )
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_is_not_a_subcommand() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["bench", "--json", "--quick"])
+        .output()
+        .expect("spawn experiments");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment `bench`"), "{stderr}");
 }

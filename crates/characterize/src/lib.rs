@@ -5,7 +5,7 @@
 //! crate explains them. A [`Characterizer`] is an
 //! [`EventSink`](predbranch_sim::EventSink) that consumes one decoded
 //! event stream — live execution, trace replay, or the trace cache's
-//! decoded-event memo — in a single batched pass and computes, per
+//! sidecar — in a single batched pass and computes, per
 //! static conditional branch:
 //!
 //! * **bias** — the taken-rate and its marginal Shannon entropy

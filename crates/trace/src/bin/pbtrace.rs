@@ -7,8 +7,7 @@
 //! pbtrace info   <file.pbt> [--json]
 //! pbtrace dump   <file.pbt> [--limit N]
 //! pbtrace verify <dir|file.pbt> [--quiet]
-//! pbtrace migrate <dir>
-//! pbtrace stats  <dir> [--json] [--memo-streams N]
+//! pbtrace stats  <dir> [--json]
 //! pbtrace characterize <dir|file.pbt> [--json] [--jobs N]
 //! pbtrace list
 //! ```
@@ -20,14 +19,15 @@
 //! sidecar, when one exists — under a file or cache directory:
 //! structure, event count, checksums, and sidecar↔trace binding; it
 //! exits non-zero if *any* file fails, and `--quiet` suppresses
-//! per-file OK lines so CI logs only show failures. `migrate` builds
-//! missing (or stale) segment sidecars for existing v1 cache entries in
-//! place — atomic publish, idempotent. `stats` summarizes a trace-cache
-//! directory: entry count, total bytes, segment coverage, and a
-//! per-benchmark breakdown. `characterize` replays each trace once
-//! through the streaming predictability characterizer and prints the
-//! per-static-branch H2P taxonomy; its output is byte-identical at any
-//! `--jobs` level.
+//! per-file OK lines so CI logs only show failures. Sidecars need no
+//! command of their own: the trace cache publishes one when it records
+//! a trace and republishes a missing, stale or corrupt one on the
+//! entry's next replay. `stats` summarizes an existing trace-cache
+//! directory without writing to it: entry count, total bytes, sidecar
+//! coverage, and a per-benchmark breakdown. `characterize` replays
+//! each trace once through the streaming predictability characterizer
+//! and prints the per-static-branch H2P taxonomy; its output is
+//! byte-identical at any `--jobs` level.
 //!
 //! `--json` renders through the same ordered-JSON module the sweep
 //! manifests use, so field order — and therefore the byte stream — is
@@ -50,8 +50,7 @@ const USAGE: &str = "usage:
   pbtrace info   <file.pbt> [--json]
   pbtrace dump   <file.pbt> [--limit N]
   pbtrace verify <dir|file.pbt> [--quiet]
-  pbtrace migrate <dir>
-  pbtrace stats  <dir> [--json] [--memo-streams N]
+  pbtrace stats  <dir> [--json]
   pbtrace characterize <dir|file.pbt> [--json] [--jobs N]
   pbtrace list";
 
@@ -62,7 +61,6 @@ fn main() -> ExitCode {
         Some("info") => info(&args[1..]),
         Some("dump") => dump(&args[1..]),
         Some("verify") => verify(&args[1..]),
-        Some("migrate") => migrate(&args[1..]),
         Some("stats") => stats(&args[1..]),
         Some("characterize") => characterize(&args[1..]),
         Some("list") => {
@@ -345,39 +343,6 @@ fn verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds segment sidecars for every v1 cache entry that lacks a valid
-/// one. Idempotent: entries whose sidecar is already current are
-/// skipped; publication is atomic (temp file + rename), so a crashed or
-/// concurrent migrate never leaves a partial sidecar.
-fn migrate(args: &[String]) -> Result<(), String> {
-    let dir = one_path(args)?;
-    if !std::path::Path::new(&dir).is_dir() {
-        return Err(format!("{dir}: not a directory\n{USAGE}"));
-    }
-    let files = trace_files(&dir)?;
-    let (mut built, mut current, mut failed) = (0u64, 0u64, 0u64);
-    for file in &files {
-        match predbranch_trace::migrate_trace(file) {
-            Ok(predbranch_trace::MigrateOutcome::Built) => {
-                outln!("{}: built", predbranch_trace::segment_path(file).display());
-                built += 1;
-            }
-            Ok(predbranch_trace::MigrateOutcome::UpToDate) => {
-                current += 1;
-            }
-            Err(e) => {
-                outln!("{}: FAILED: {e}", file.display());
-                failed += 1;
-            }
-        }
-    }
-    outln!("migrated {dir}: {built} built, {current} up to date, {failed} failed");
-    if failed > 0 {
-        return Err(format!("{failed} entr(ies) under {dir} failed to migrate"));
-    }
-    Ok(())
-}
-
 /// The `.pbt` files under a path: the file itself, or a directory scan
 /// (sorted). Read-only — never creates directories.
 fn trace_files(path: &str) -> Result<Vec<PathBuf>, String> {
@@ -404,24 +369,21 @@ fn trace_files(path: &str) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
+/// Summarizes an existing trace-cache directory. Read-only: a missing
+/// path or a non-directory is an error naming the path, and nothing is
+/// created.
 fn stats(args: &[String]) -> Result<(), String> {
-    let mut dir: Option<String> = None;
-    let mut json = false;
-    let mut memo_streams: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--memo-streams" => memo_streams = Some(parse(&take(&mut it, "--memo-streams")?)?),
-            p if !p.starts_with('-') && dir.is_none() => dir = Some(p.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
+    let (dir, json) = path_and_json(args, "stats")?;
+    let path = std::path::Path::new(&dir);
+    if !path.exists() {
+        return Err(format!("{dir}: no such file or directory"));
     }
-    let dir = dir.ok_or_else(|| format!("stats needs exactly one path\n{USAGE}"))?;
-    let mut cache = predbranch_trace::TraceCache::open(&dir).map_err(|e| format!("{dir}: {e}"))?;
-    if let Some(n) = memo_streams {
-        cache = cache.with_memo_capacity(n as usize);
+    if !path.is_dir() {
+        return Err(format!(
+            "{dir}: not a directory (stats takes a trace-cache directory)"
+        ));
     }
+    let cache = predbranch_trace::TraceCache::open(&dir).map_err(|e| format!("{dir}: {e}"))?;
     let entries = cache.scan().map_err(|e| format!("{dir}: {e}"))?;
 
     // group by benchmark: the label's leading component ("gzip-pred-1f"
@@ -444,20 +406,8 @@ fn stats(args: &[String]) -> Result<(), String> {
         slot.1 += entry.bytes;
     }
 
-    // Segment sidecars make the memo bound moot: segment-served
-    // entries never touch the memo at all. Thrash only threatens the
-    // uncovered remainder, so the warning below is scoped to it.
     let segments: u64 = entries.iter().filter(|e| e.segment_bytes.is_some()).count() as u64;
     let segment_bytes: u64 = entries.iter().filter_map(|e| e.segment_bytes).sum();
-
-    // The in-process decoded-event memo holds `capacity` streams
-    // (default DECODED_MEMO_CAPACITY; --memo-streams overrides); more
-    // v1-only streams than that will thrash it (evict + re-decode on
-    // every full sweep). This used to be silent — surface the bound,
-    // whether this directory exceeds it, and this process's traffic.
-    let memo = cache.memo_stats();
-    let v1_only = entries.len() as u64 - segments;
-    let memo_exceeded = v1_only > memo.capacity as u64;
 
     if json {
         let benchmarks: Vec<Json> = per_bench
@@ -480,15 +430,6 @@ fn stats(args: &[String]) -> Result<(), String> {
                     .field("entries", json_u64(segments))
                     .field("bytes", json_u64(segment_bytes)),
             )
-            .field(
-                "memo",
-                Json::obj()
-                    .field("capacity", memo.capacity)
-                    .field("hits", json_u64(memo.hits))
-                    .field("misses", json_u64(memo.misses))
-                    .field("evictions", json_u64(memo.evictions))
-                    .field("exceeds_capacity", memo_exceeded),
-            )
             .field("benchmarks", Json::Arr(benchmarks));
         outln!("{}", doc.pretty());
         return Ok(());
@@ -504,29 +445,17 @@ fn stats(args: &[String]) -> Result<(), String> {
     if corrupt > 0 {
         outln!("corrupt:   {corrupt} (unreadable headers)");
     }
+    let v1_only = entries.len() as u64 - segments;
     outln!(
-        "segments:  {segments} of {} entries segment-served ({})",
+        "segments:  {segments} of {} entries segment-served ({}){}",
         entries.len(),
-        human_bytes(segment_bytes)
+        human_bytes(segment_bytes),
+        if v1_only > 0 {
+            format!("; {v1_only} v1-only, rebuilt on their next replay")
+        } else {
+            String::new()
+        }
     );
-    outln!(
-        "memo:      {} of {} v1-only streams decodable at once; this process: \
-         {} hits, {} misses, {} evictions",
-        (v1_only as usize).min(memo.capacity),
-        memo.capacity,
-        memo.hits,
-        memo.misses,
-        memo.evictions
-    );
-    if memo_exceeded {
-        outln!(
-            "warning:   {v1_only} v1-only traces exceed the {}-stream \
-             decoded-event memo; per-cell sweeps over them will evict and \
-             re-decode (run `pbtrace migrate` to build segment sidecars, \
-             which bypass the memo entirely)",
-            memo.capacity
-        );
-    }
     outln!();
     outln!("{:<14} {:>8} {:>14}", "benchmark", "entries", "bytes");
     for (bench, (count, bytes)) in &per_bench {
@@ -668,13 +597,6 @@ fn human_bytes(bytes: u64) -> String {
         b if b >= 1 << 20 => format!("{:.1} MiB", b as f64 / (1u64 << 20) as f64),
         b if b >= 1 << 10 => format!("{:.1} KiB", b as f64 / (1u64 << 10) as f64),
         b => format!("{b} B"),
-    }
-}
-
-fn one_path(args: &[String]) -> Result<String, String> {
-    match args {
-        [path] if !path.starts_with('-') => Ok(path.clone()),
-        _ => Err(format!("expected exactly one trace file\n{USAGE}")),
     }
 }
 

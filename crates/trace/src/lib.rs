@@ -24,16 +24,17 @@
 //!   publication. `predbranch_bench`'s runner consults it so an entire
 //!   experiment sweep executes each (binary, input) exactly once.
 //! * [`TraceMap`] — an mmap-backed view of a fixed-stride `.pbtd`
-//!   **segment sidecar** (built next to each cached `.pbt`), serving
+//!   **segment sidecar** (published next to each cached `.pbt`), serving
 //!   event batches as borrowed slices straight off the OS page cache:
 //!   no per-replay decode, no per-replay checksum walk, and stream
-//!   residency bounded by the kernel rather than any in-process memo.
-//!   See the `segment` module docs for the layout and the
-//!   alignment/endianness contract.
-//! * `pbtrace` — a CLI to record, inspect, dump, verify, and migrate
+//!   residency owned by the kernel. It is the cache's one serving path;
+//!   an entry without a usable sidecar is decoded once and its sidecar
+//!   republished (self-healing). See the `segment` module docs for the
+//!   layout and the alignment/endianness contract.
+//! * `pbtrace` — a CLI to record, inspect, dump, verify, and summarize
 //!   trace files (`pbtrace record --bench <name> -o out.pbt`,
 //!   `pbtrace info`, `pbtrace dump`, `pbtrace verify <dir>`,
-//!   `pbtrace migrate <dir>`).
+//!   `pbtrace stats <dir>`).
 //!
 //! # Format (version 1)
 //!
@@ -61,14 +62,13 @@ mod segment;
 mod varint;
 mod writer;
 
-pub use cache::{CacheEntry, CacheKey, MemoStats, ServeStats, TraceCache, DECODED_MEMO_CAPACITY};
+pub use cache::{CacheEntry, CacheKey, ServeStats, TraceCache};
 pub use error::TraceError;
 pub use format::{memory_fingerprint, program_hash, TraceHeader, FORMAT_VERSION, MAGIC};
 pub use mmap::Mapping;
 pub use reader::{ReplayStats, TraceReader};
 pub use segment::{
-    migrate_trace, publish_segment, segment_path, trace_tail_checksum, MigrateOutcome, RawEvent,
-    SegmentHeader, TraceMap, SEGMENT_EVENT_STRIDE, SEGMENT_EXTENSION, SEGMENT_MAGIC,
-    SEGMENT_VERSION,
+    publish_segment, segment_path, trace_tail_checksum, RawEvent, SegmentHeader, TraceMap,
+    SEGMENT_EVENT_STRIDE, SEGMENT_EXTENSION, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use writer::TraceWriter;

@@ -115,9 +115,9 @@ impl<R: Read> TraceReader<R> {
 
     /// Like [`TraceReader::replay`], but delivers one
     /// [`EventSink::event`] call per decoded event instead of batching —
-    /// the pre-batching pipeline shape, kept as the A/B baseline for
-    /// throughput comparisons (`experiments bench`). Event order and
-    /// payloads are identical to the batched path.
+    /// the pre-batching pipeline shape, kept as the reference the
+    /// batched path is tested against. Event order and payloads are
+    /// identical to the batched path.
     pub fn replay_per_event<S: EventSink>(self, sink: &mut S) -> Result<ReplayStats, TraceError> {
         self.replay_impl(sink, Delivery::PerEvent, &mut Vec::new())
     }

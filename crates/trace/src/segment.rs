@@ -1,14 +1,14 @@
 //! Decoded segment sidecars (`.pbtd`) and the mmap-backed [`TraceMap`].
 //!
-//! The v1 varint stream is compact but serial: every replay pays a full
-//! decode and checksum walk, and the decoded-event memo that amortized
-//! that cost is per-process and bounded (it thrashes once a sweep
-//! touches more streams than [`crate::DECODED_MEMO_CAPACITY`]). The
-//! segment sidecar trades disk bytes for serving speed: events are
-//! stored **fixed-stride**, so a replay is a pointer cast over an
-//! `mmap`ed file — no decode, no per-replay allocation proportional to
-//! the stream, and residency managed by the OS page cache, shared
-//! between every process of a sharded sweep.
+//! The v1 varint stream is compact but serial: every replay from it pays
+//! a full decode and checksum walk. The segment sidecar trades disk
+//! bytes for serving speed: events are stored **fixed-stride**, so a
+//! replay is a pointer cast over an `mmap`ed file — no decode, no
+//! per-replay allocation proportional to the stream, and residency
+//! managed by the OS page cache, shared between every process of a
+//! sharded sweep. The sidecar is derived data: the trace cache
+//! republishes a missing, stale or corrupt one from the next full decode
+//! of its `.pbt`.
 //!
 //! # Layout (segment version 1)
 //!
@@ -65,7 +65,6 @@ use crate::format::{
     Fnv64, HashingWriter, FLAG_CONDITIONAL, FLAG_GUARD_VALUE, FLAG_HAS_REGION, FLAG_TAKEN,
     FLAG_VALUE,
 };
-use crate::reader::TraceReader;
 
 /// File magic of a segment sidecar.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"PBTD";
@@ -310,8 +309,8 @@ impl SegmentHeader {
 }
 
 /// Atomically publishes a segment sidecar next to `trace_path` from an
-/// already-decoded event stream. Used by the cache when it records or
-/// first decodes a trace, and by `pbtrace migrate`.
+/// already-decoded event stream. Used by the cache when it records a
+/// trace or decodes one that has no usable sidecar.
 ///
 /// Same discipline as trace publication: write a uniquely named
 /// temporary in the same directory, fsync, rename. Concurrent builders
@@ -361,38 +360,6 @@ pub fn publish_segment(
     result.map_err(TraceError::Io)
 }
 
-/// What [`migrate_trace`] did for one cache entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrateOutcome {
-    /// A valid, up-to-date sidecar already existed; nothing written.
-    UpToDate,
-    /// A sidecar was built (none existed, or the existing one was
-    /// stale/corrupt).
-    Built,
-}
-
-/// Ensures `trace_path` has a valid segment sidecar, building one from
-/// a full (verified) decode when needed. Idempotent: a second call
-/// finds the sidecar current and writes nothing.
-pub fn migrate_trace(trace_path: &Path) -> Result<MigrateOutcome, TraceError> {
-    let tail = trace_tail_checksum(trace_path)?;
-    match TraceMap::open(&segment_path(trace_path)) {
-        Ok(map) if map.header().source_checksum == tail => return Ok(MigrateOutcome::UpToDate),
-        _ => {}
-    }
-    let reader = TraceReader::open(trace_path)?;
-    let program_hash = reader.header().program_hash;
-    let (events, stats) = reader.read_events()?;
-    publish_segment(
-        trace_path,
-        program_hash,
-        stats.checksum,
-        &stats.summary,
-        &events,
-    )?;
-    Ok(MigrateOutcome::Built)
-}
-
 /// An open, validated segment sidecar serving borrowed event batches
 /// straight off the page cache.
 ///
@@ -408,14 +375,16 @@ pub struct TraceMap {
 }
 
 impl TraceMap {
-    /// Opens and fully validates a `.pbtd` file.
+    /// Opens and fully validates a `.pbtd` file. A header whose event
+    /// count cannot match any file size is a typed error, not a panic.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         let mapping = crate::mmap::Mapping::open(path).map_err(TraceError::from)?;
         let header = SegmentHeader::read_from(&mapping)?;
-        let events_len = (header.event_count as usize)
-            .checked_mul(SEGMENT_EVENT_STRIDE)
+        let expected_len = usize::try_from(header.event_count)
+            .ok()
+            .and_then(|count| count.checked_mul(SEGMENT_EVENT_STRIDE))
+            .and_then(|events_len| events_len.checked_add(SEGMENT_HEADER_LEN + 8))
             .ok_or(TraceError::BadSegment("event count overflows"))?;
-        let expected_len = SEGMENT_HEADER_LEN + events_len + 8;
         if mapping.len() != expected_len {
             return Err(if mapping.len() < expected_len {
                 TraceError::Truncated
@@ -561,11 +530,19 @@ mod tests {
         (path, sink.events().to_vec(), summary)
     }
 
+    /// Publishes `path`'s sidecar from a full decode, as the cache does
+    /// for an entry without one.
+    fn publish(path: &Path) -> PathBuf {
+        let reader = crate::TraceReader::open(path).unwrap();
+        let program_hash = reader.header().program_hash;
+        let (events, stats) = reader.read_events().unwrap();
+        publish_segment(path, program_hash, stats.checksum, &stats.summary, &events).unwrap()
+    }
+
     #[test]
-    fn migrate_builds_then_is_idempotent() {
-        let (path, events, summary) = toy_trace("migrate");
-        assert_eq!(migrate_trace(&path).unwrap(), MigrateOutcome::Built);
-        assert_eq!(migrate_trace(&path).unwrap(), MigrateOutcome::UpToDate);
+    fn published_sidecar_replays_the_trace() {
+        let (path, events, summary) = toy_trace("publish");
+        assert_eq!(publish(&path), segment_path(&path));
 
         let map = TraceMap::open_bound(&path).unwrap();
         assert_eq!(map.summary(), summary);
@@ -581,10 +558,10 @@ mod tests {
 
     #[test]
     fn stale_sidecar_is_detected_by_source_binding() {
-        let (path, _, summary) = toy_trace("stale");
-        migrate_trace(&path).unwrap();
-        // simulate a re-recorded trace: append-free rewrite with a
-        // different tail (flip one byte of the stored checksum)
+        let (path, _, _) = toy_trace("stale");
+        publish(&path);
+        // simulate a re-recorded trace: a different tail (flip one byte
+        // of the stored checksum)
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -593,18 +570,13 @@ mod tests {
             TraceMap::open_bound(&path),
             Err(TraceError::SegmentStale { .. })
         ));
-        // migrate rebuilds from the (now-corrupt) trace: decode fails,
-        // typed error, no partial sidecar published
-        assert!(migrate_trace(&path).is_err());
-        let _ = summary;
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn corruption_in_the_event_section_fails_open() {
         let (path, _, _) = toy_trace("corrupt");
-        migrate_trace(&path).unwrap();
-        let seg = segment_path(&path);
+        let seg = publish(&path);
         let mut bytes = fs::read(&seg).unwrap();
         let mid = SEGMENT_HEADER_LEN + (bytes.len() - SEGMENT_HEADER_LEN - 8) / 2;
         bytes[mid] ^= 0x10;
@@ -619,8 +591,7 @@ mod tests {
     #[test]
     fn truncation_and_garbage_are_typed() {
         let (path, _, _) = toy_trace("trunc");
-        migrate_trace(&path).unwrap();
-        let seg = segment_path(&path);
+        let seg = publish(&path);
         let bytes = fs::read(&seg).unwrap();
 
         fs::write(&seg, &bytes[..bytes.len() - 9]).unwrap();
@@ -632,6 +603,23 @@ mod tests {
         assert!(matches!(
             TraceMap::open(&seg),
             Err(TraceError::BadSegment(_))
+        ));
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn hostile_event_count_is_a_typed_error_not_a_panic() {
+        let (path, _, _) = toy_trace("hostile");
+        let seg = publish(&path);
+        let mut bytes = fs::read(&seg).unwrap();
+        // an event count whose byte length fits a u64 but whose total
+        // file length does not
+        let hostile = u64::MAX / SEGMENT_EVENT_STRIDE as u64;
+        bytes[24..32].copy_from_slice(&hostile.to_le_bytes());
+        fs::write(&seg, &bytes).unwrap();
+        assert!(matches!(
+            TraceMap::open(&seg),
+            Err(TraceError::BadSegment(_) | TraceError::Truncated)
         ));
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }

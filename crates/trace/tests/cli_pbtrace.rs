@@ -1,13 +1,17 @@
 //! End-to-end tests of the `pbtrace` binary: the `--json` views must
-//! agree number-for-number with the text views, and `characterize` must
-//! be byte-deterministic at any `--jobs` level (pinned by a golden).
+//! agree number-for-number with the text views, `characterize` must be
+//! byte-deterministic at any `--jobs` level (pinned by a golden),
+//! `verify` must cover the sidecars a trace cache publishes, and the
+//! read-only commands must never create what they inspect.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
+use predbranch_sim::NullSink;
 use predbranch_sweep::Json;
-use predbranch_workloads::suite;
+use predbranch_trace::{CacheKey, TraceCache};
+use predbranch_workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -37,6 +41,34 @@ fn record_quick(dir: &std::path::Path) -> String {
     let trace = dir.join("quick.pbt").to_str().unwrap().to_string();
     pbtrace(&["record", "--bench", &bench, "-o", &trace]);
     trace
+}
+
+/// Replays (recording on first use) the first suite benchmark through a
+/// trace cache rooted at `dir`, which leaves a `.pbt` plus its `.pbtd`
+/// sidecar. Returns the cache and the entry's trace path.
+fn cache_entry(dir: &std::path::Path) -> (TraceCache, PathBuf) {
+    let bench = &suite()[0];
+    let program = compile_benchmark(bench, &CompileOptions::default()).predicated;
+    let memory = bench.input(EVAL_SEED);
+    let budget = predbranch_workloads::DEFAULT_MAX_INSTRUCTIONS;
+    let key = CacheKey::for_run(bench.name(), &program, &memory, budget);
+    let cache = TraceCache::open(dir).unwrap();
+    cache
+        .replay_or_record(&key, &program, memory, budget, &mut NullSink)
+        .unwrap();
+    let trace = cache.path(&key);
+    (cache, trace)
+}
+
+/// Runs `pbtrace` expecting failure; returns its stderr.
+fn pbtrace_fails(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_pbtrace"))
+        .args(args)
+        .output()
+        .expect("pbtrace runs");
+    assert!(!out.status.success(), "pbtrace {args:?} should fail");
+    assert_eq!(out.status.code(), Some(1), "pbtrace {args:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 /// The first `: `-separated field value on the text line starting with
@@ -114,23 +146,19 @@ fn stats_json_matches_text_numbers() {
         suite()[0].name()
     );
 
-    // the decoded-event memo block: capacity from the library, no
-    // thrash for a one-trace directory, and a fresh process has no
-    // traffic yet (stats only scans headers)
-    let memo = json.get("memo").unwrap();
+    // `pbtrace record` writes no sidecar: both views count 0 of 1
+    let segments = json.get("segments").unwrap();
     assert_eq!(
-        memo.get("capacity").unwrap().as_u64(),
-        Some(predbranch_trace::DECODED_MEMO_CAPACITY as u64)
+        text_field(&text, "segments"),
+        segments
+            .get("entries")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+            .to_string()
     );
-    assert_eq!(memo.get("exceeds_capacity").unwrap().render(), "false");
-    assert_eq!(memo.get("hits").unwrap().as_u64(), Some(0));
-    assert_eq!(memo.get("misses").unwrap().as_u64(), Some(0));
-    assert_eq!(memo.get("evictions").unwrap().as_u64(), Some(0));
-    assert!(
-        text_field(&text, "memo").parse::<u64>().is_ok(),
-        "text view lacks a memo line:\n{text}"
-    );
-    assert!(!text.contains("warning:"), "one trace cannot thrash");
+    assert_eq!(segments.get("entries").unwrap().as_u64(), Some(0));
+    assert!(text.contains("1 v1-only"), "{text}");
 
     fs::remove_dir_all(dir).ok();
 }
@@ -211,43 +239,29 @@ fn characterize_output_matches_golden() {
 }
 
 #[test]
-fn migrate_builds_sidecars_idempotently_and_verify_covers_them() {
-    let dir = scratch_dir("migrate");
-    let trace = record_quick(&dir); // a pre-built v1-only cache entry
+fn verify_covers_the_sidecars_a_cache_publishes_and_self_heals() {
+    let dir = scratch_dir("sidecars");
+    let (_, trace) = cache_entry(&dir);
+    let seg = trace.with_extension("pbtd");
     let dir_str = dir.to_str().unwrap();
+    assert!(seg.exists(), "recording publishes the sidecar");
 
-    let first = pbtrace(&["migrate", dir_str]);
-    assert!(first.contains("1 built, 0 up to date, 0 failed"), "{first}");
-    assert!(std::path::Path::new(&trace.replace(".pbt", ".pbtd")).exists());
-
-    // idempotent: a second run writes nothing
-    let second = pbtrace(&["migrate", dir_str]);
-    assert!(
-        second.contains("0 built, 1 up to date, 0 failed"),
-        "{second}"
-    );
-
-    // verify now covers the sidecar too, and --quiet suppresses all
+    // verify covers the sidecar too, and --quiet suppresses all
     // success output
     let verbose = pbtrace(&["verify", dir_str]);
     assert!(verbose.contains("segment-served"), "{verbose}");
     assert_eq!(pbtrace(&["verify", dir_str, "--quiet"]), "");
-
-    // stats reports full segment coverage and a configurable memo
-    let json = Json::parse(&pbtrace(&[
-        "stats",
-        dir_str,
-        "--json",
-        "--memo-streams",
-        "3",
-    ]))
-    .unwrap();
+    let json = Json::parse(&pbtrace(&["stats", dir_str, "--json"])).unwrap();
     let segments = json.get("segments").unwrap();
     assert_eq!(segments.get("entries").unwrap().as_u64(), Some(1));
-    assert_eq!(
-        json.get("memo").unwrap().get("capacity").unwrap().as_u64(),
-        Some(3)
-    );
+
+    // a v1-only entry gets its sidecar back from its next replay
+    fs::remove_file(&seg).unwrap();
+    assert!(!pbtrace(&["verify", dir_str]).contains("segment-served"));
+    let (cache, _) = cache_entry(&dir);
+    assert_eq!(cache.serve_stats().segment_builds, 1);
+    let healed = pbtrace(&["verify", dir_str]);
+    assert!(healed.contains("segment-served"), "{healed}");
 
     fs::remove_dir_all(dir).ok();
 }
@@ -255,12 +269,11 @@ fn migrate_builds_sidecars_idempotently_and_verify_covers_them() {
 #[test]
 fn verify_exits_nonzero_on_a_corrupted_segment() {
     let dir = scratch_dir("verify-corrupt");
-    let trace = record_quick(&dir);
+    let (_, trace) = cache_entry(&dir);
     let dir_str = dir.to_str().unwrap();
-    pbtrace(&["migrate", dir_str]);
 
     // flip one byte in the middle of the sidecar's event section
-    let seg = trace.replace(".pbt", ".pbtd");
+    let seg = trace.with_extension("pbtd");
     let mut bytes = fs::read(&seg).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
@@ -291,6 +304,35 @@ fn characterize_rejects_missing_paths() {
     assert!(err.contains("no such file or directory"), "{err}");
     // and it must not have created the directory
     assert!(!std::path::Path::new("/nonexistent/predbranch-cache").exists());
+}
+
+#[test]
+fn stats_rejects_a_missing_path_without_creating_it() {
+    let dir = scratch_dir("stats-missing").join("absent");
+    let dir_str = dir.to_str().unwrap();
+    let err = pbtrace_fails(&["stats", dir_str]);
+    assert!(err.contains(dir_str), "{err}");
+    assert!(err.contains("no such file or directory"), "{err}");
+    assert!(!dir.exists(), "stats must not create the directory");
+    fs::remove_dir_all(dir.parent().unwrap()).ok();
+}
+
+#[test]
+fn stats_rejects_a_file_path() {
+    let dir = scratch_dir("stats-file");
+    let trace = record_quick(&dir);
+    let err = pbtrace_fails(&["stats", &trace]);
+    assert!(err.contains(&trace), "{err}");
+    assert!(err.contains("not a directory"), "{err}");
+    fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn migrate_is_not_a_subcommand() {
+    let dir = scratch_dir("no-migrate");
+    let err = pbtrace_fails(&["migrate", dir.to_str().unwrap()]);
+    assert!(err.contains("usage:"), "{err}");
+    fs::remove_dir_all(dir).ok();
 }
 
 #[test]

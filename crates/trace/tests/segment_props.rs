@@ -17,7 +17,7 @@ use predbranch_core::{build_predictor, HarnessConfig, PredictionHarness, Predict
 use predbranch_isa::PredReg;
 use predbranch_sim::{BranchEvent, Event, PredWriteEvent, RunSummary, TraceSink};
 use predbranch_trace::{
-    migrate_trace, segment_path, MigrateOutcome, TraceHeader, TraceMap, TraceReader, TraceWriter,
+    publish_segment, segment_path, TraceHeader, TraceMap, TraceReader, TraceWriter,
 };
 
 fn arb_pred_reg() -> impl Strategy<Value = PredReg> {
@@ -122,6 +122,15 @@ fn sealed_trace(events: &[Event], summary: &RunSummary) -> PathBuf {
     path
 }
 
+/// Publishes `trace`'s sidecar from a full decode, as the trace cache
+/// does for an entry without one, and returns the sidecar's path.
+fn publish(trace: &PathBuf) -> PathBuf {
+    let reader = TraceReader::open(trace).unwrap();
+    let program_hash = reader.header().program_hash;
+    let (events, stats) = reader.read_events().unwrap();
+    publish_segment(trace, program_hash, stats.checksum, &stats.summary, &events).unwrap()
+}
+
 fn cleanup(trace: &PathBuf) {
     let _ = fs::remove_file(segment_path(trace));
     let _ = fs::remove_file(trace);
@@ -130,7 +139,7 @@ fn cleanup(trace: &PathBuf) {
 proptest! {
     /// The core equivalence: decoded events, sink-delivered events,
     /// restored summaries, and predictor metrics all agree between the
-    /// varint path and the segment path — and migration is idempotent.
+    /// varint path and the segment path.
     #[test]
     fn segment_replay_equals_varint_replay(
         mut events in arb_events(),
@@ -145,8 +154,7 @@ proptest! {
             }
         }
         let trace = sealed_trace(&events, &summary);
-        let built = migrate_trace(&trace).unwrap();
-        let rebuilt = migrate_trace(&trace).unwrap();
+        publish(&trace);
         let map = TraceMap::open_bound(&trace).unwrap();
         let bytes = fs::read(&trace).unwrap();
 
@@ -175,8 +183,6 @@ proptest! {
 
         cleanup(&trace);
 
-        prop_assert_eq!(built, MigrateOutcome::Built);
-        prop_assert_eq!(rebuilt, MigrateOutcome::UpToDate);
         prop_assert_eq!(&segment_events, &varint_events);
         prop_assert_eq!(&segment_events, &events);
         prop_assert_eq!(segment_sink.events(), varint_sink.events());
@@ -208,8 +214,7 @@ proptest! {
         bit in 0u32..8,
     ) {
         let trace = sealed_trace(&events, &summary);
-        migrate_trace(&trace).unwrap();
-        let seg = segment_path(&trace);
+        let seg = publish(&trace);
         let mut bytes = fs::read(&seg).unwrap();
         let pos = (pos % bytes.len() as u64) as usize;
         bytes[pos] ^= 1 << bit;
