@@ -15,7 +15,7 @@ use predbranch_stats::{mean, Cell, Table};
 use predbranch_workloads::{compile_benchmark, CompileOptions, CompiledBenchmark, IfConvertConfig};
 
 use super::{base_spec, Artifact, Scale};
-use crate::runner::{CellSpec, RunContext, RunOutcome, SuiteEntry, PGU_DELAY};
+use crate::runner::{CellSpec, RunContext, RunOutcome, PGU_DELAY};
 
 const THRESHOLDS: [f64; 5] = [0.55, 0.70, 0.85, 0.95, 1.01];
 
@@ -81,10 +81,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let mut cells_in = Vec::with_capacity(THRESHOLDS.len() * n * 3);
     for ti in 0..THRESHOLDS.len() {
         for (ei, entry) in entries.iter().enumerate() {
-            let recompiled = SuiteEntry {
-                bench: entry.bench.clone(),
-                compiled: compiled[ti * n + ei].clone(),
-            };
+            let recompiled = entry.recompiled(compiled[ti * n + ei].clone());
             let name = recompiled.compiled.name;
             let mut plain_cell = CellSpec::plain(
                 &recompiled,

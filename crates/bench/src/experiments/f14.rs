@@ -10,7 +10,7 @@
 use predbranch_core::InsertFilter;
 use predbranch_stats::{mean, Cell, Summary, Table};
 
-use super::{headline_specs, Artifact, Scale};
+use super::{base_spec, headline_specs, Artifact, Scale};
 use crate::runner::{CellSpec, RunContext};
 
 const SEEDS: [u64; 5] = [11, 222, 3_333, 44_444, 555_555];
@@ -18,18 +18,26 @@ const SEEDS: [u64; 5] = [11, 222, 3_333, 44_444, 555_555];
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
     let specs = headline_specs();
-    let mut cells_in = Vec::with_capacity(specs.len() * SEEDS.len() * entries.len());
+    // one input image per (seed, bench), shared by every spec's cell
+    let timing = scale.timing();
+    let seeded: Vec<CellSpec> = SEEDS
+        .iter()
+        .flat_map(|&seed| {
+            entries.iter().map(move |entry| {
+                CellSpec::seeded(entry, "", seed, base_spec(), timing, InsertFilter::All)
+            })
+        })
+        .collect();
+    let n = entries.len();
+    let mut cells_in = Vec::with_capacity(specs.len() * seeded.len());
     for (label, spec) in &specs {
-        for seed in SEEDS {
-            for entry in entries.iter() {
-                cells_in.push(CellSpec::seeded(
-                    entry,
-                    format!("f14/{}/{label}/s{seed}", entry.compiled.name),
-                    seed,
-                    spec,
-                    scale.timing(),
-                    InsertFilter::All,
-                ));
+        for (seed_cells, seed) in seeded.chunks(n).zip(SEEDS) {
+            for (base, entry) in seed_cells.iter().zip(entries.iter()) {
+                cells_in.push(CellSpec {
+                    label: format!("f14/{}/{label}/s{seed}", entry.compiled.name),
+                    spec: spec.into(),
+                    ..base.clone()
+                });
             }
         }
     }
@@ -39,7 +47,6 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         "F14: headline result across evaluation seeds (suite mean misp%, n=5 seeds)",
         &["config", "mean", "95% CI ±", "min", "max"],
     );
-    let n = entries.len();
     for (si, (label, _)) in specs.iter().enumerate() {
         let mut per_seed = Summary::new();
         for seed_idx in 0..SEEDS.len() {

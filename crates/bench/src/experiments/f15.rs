@@ -43,14 +43,15 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
             }));
         }
     }
-    let compiled = ctx.map_batch(compile_jobs);
+    // both schedules of a benchmark share one evaluation input
+    let mut compiled = ctx.map_batch(compile_jobs).into_iter();
+    let mut next_compiled = || compiled.next().expect("two schedules per benchmark");
     let variants: Vec<SuiteEntry> = benchmarks
         .iter()
-        .flat_map(|bench| [bench, bench])
-        .zip(compiled)
-        .map(|(bench, compiled)| SuiteEntry {
-            bench: bench.clone(),
-            compiled,
+        .flat_map(|bench| {
+            let plain_sched = SuiteEntry::new(bench.clone(), next_compiled());
+            let hoisted = plain_sched.recompiled(next_compiled());
+            [plain_sched, hoisted]
         })
         .collect();
 

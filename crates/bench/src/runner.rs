@@ -29,7 +29,7 @@ use predbranch_isa::Program;
 use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{Event, EventSink, Executor, Memory, RunSummary, EVENT_BATCH_CAPACITY};
 use predbranch_sweep::{CellRecord, CellSource, Checkpoint, Json, ManifestBuilder, WorkerPool};
-use predbranch_trace::{memory_fingerprint, program_hash, CacheKey, ServeStats, TraceCache};
+use predbranch_trace::{program_hash, CacheKey, ServeStats, TraceCache};
 use predbranch_workloads::{
     compile_benchmark, suite, Benchmark, CompileOptions, CompiledBenchmark,
     DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED,
@@ -94,19 +94,45 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// A benchmark plus its two compiled binaries.
+/// A benchmark plus its two compiled binaries and its evaluation
+/// input, generated once.
 #[derive(Debug)]
 pub struct SuiteEntry {
     /// The benchmark descriptor (inputs, name).
     pub bench: Benchmark,
     /// Plain + predicated binaries and region metadata.
     pub compiled: CompiledBenchmark,
+    /// The evaluation input image, shared by every cell over this entry.
+    eval: Memory,
 }
 
 impl SuiteEntry {
-    /// The evaluation input (always a different seed than training).
+    /// Pairs a benchmark with its compiled binaries and generates its
+    /// evaluation input.
+    pub fn new(bench: Benchmark, compiled: CompiledBenchmark) -> Self {
+        let eval = bench.input(EVAL_SEED);
+        SuiteEntry {
+            bench,
+            compiled,
+            eval,
+        }
+    }
+
+    /// The same benchmark and evaluation input over other binaries
+    /// (recompilation experiments): the input image is shared, not
+    /// regenerated.
+    pub fn recompiled(&self, compiled: CompiledBenchmark) -> Self {
+        SuiteEntry {
+            bench: self.bench.clone(),
+            compiled,
+            eval: self.eval.clone(),
+        }
+    }
+
+    /// The evaluation input (always a different seed than training): a
+    /// clone sharing the entry's image and its memoized fingerprint.
     pub fn eval_input(&self) -> Memory {
-        self.bench.input(EVAL_SEED)
+        self.eval.clone()
     }
 }
 
@@ -119,7 +145,7 @@ pub fn compiled_suite(limit: Option<usize>) -> Vec<SuiteEntry> {
         .take(limit.unwrap_or(usize::MAX))
         .map(|bench| {
             let compiled = compile_benchmark(&bench, &opts);
-            SuiteEntry { bench, compiled }
+            SuiteEntry::new(bench, compiled)
         })
         .collect()
 }
@@ -153,6 +179,51 @@ impl RunOutcome {
     pub fn taken_branches(&self) -> u64 {
         let unconditional = self.summary.branches - self.summary.conditional_branches;
         self.summary.taken_conditional + unconditional
+    }
+
+    /// Checks the counting invariants every executed cell satisfies, so
+    /// an outcome restored from a journal can be refused before it
+    /// reaches a table: the region and non-region classes partition
+    /// `all` (branches and mispredictions alike), no class mispredicts
+    /// more branches than it saw, `kfm ≤ kf ≤ all.branches`,
+    /// `all.branches = summary.conditional ≤ summary.branches`, taken
+    /// conditional branches are conditional branches, every predicate
+    /// write reached the metrics (`pw = summary.pred_writes`), and the
+    /// run halted. These also bound every difference the accessors
+    /// take, so none of them can underflow.
+    ///
+    /// # Errors
+    ///
+    /// The first invariant that fails, in words.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let m = &self.metrics;
+        let s = &self.summary;
+        let [all, region, non_region] =
+            [&m.all, &m.region, &m.non_region].map(|c| (c.branches.get(), c.mispredictions.get()));
+        let violated = if region.0.checked_add(non_region.0) != Some(all.0) {
+            "region + non_region branches != all branches"
+        } else if region.1.checked_add(non_region.1) != Some(all.1) {
+            "region + non_region mispredictions != all mispredictions"
+        } else if [all, region, non_region].iter().any(|&(b, mis)| mis > b) {
+            "more mispredictions than branches"
+        } else if m.known_false_mispredicted.get() > m.known_false_guard.get() {
+            "kfm > kf"
+        } else if m.known_false_guard.get() > all.0 {
+            "kf > all branches"
+        } else if all.0 != s.conditional_branches {
+            "all branches != summary conditional branches"
+        } else if s.conditional_branches > s.branches {
+            "summary conditional branches > summary branches"
+        } else if s.taken_conditional > s.conditional_branches {
+            "summary taken conditional branches > summary conditional branches"
+        } else if m.pred_writes.get() != s.pred_writes {
+            "pw != summary pred_writes"
+        } else if !s.halted {
+            "the run did not halt"
+        } else {
+            return Ok(());
+        };
+        Err(violated)
     }
 }
 
@@ -255,6 +326,12 @@ impl CellSpec {
     /// may trust a checkpointed result with this key no matter which
     /// experiment, process, or `--jobs` level produced it.
     pub fn key(&self) -> String {
+        self.key_with(program_hash(&self.program))
+    }
+
+    /// [`key`](Self::key) given the program's [`program_hash`], for
+    /// callers that need that hash for grouping too.
+    fn key_with(&self, program_digest: u64) -> String {
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |bytes: &[u8]| {
             for &b in bytes {
@@ -262,8 +339,8 @@ impl CellSpec {
                 digest = digest.wrapping_mul(0x100_0000_01b3);
             }
         };
-        mix(&program_hash(&self.program).to_le_bytes());
-        mix(&memory_fingerprint(&self.memory).to_le_bytes());
+        mix(&program_digest.to_le_bytes());
+        mix(&self.memory.fingerprint().to_le_bytes());
         mix(&CELL_BUDGET.to_le_bytes());
         mix(&self.timing.resolve_latency.to_le_bytes());
         mix(&self.timing.retire_latency.to_le_bytes());
@@ -290,6 +367,15 @@ impl CellSpec {
             insert: self.insert.clone(),
         }
     }
+}
+
+/// A cell waiting for its gang unit, with its position in the submitted
+/// grid and its checkpoint key.
+#[derive(Debug)]
+struct PendingCell {
+    index: usize,
+    key: String,
+    cell: CellSpec,
 }
 
 /// Sweep-level counters (all monotone, all thread-safe).
@@ -390,8 +476,22 @@ impl RunContext {
     /// Journals every completed cell to `path` and, on reopen, restores
     /// completed cells instead of re-running them — interrupted sweeps
     /// resume from where they died.
+    ///
+    /// # Errors
+    ///
+    /// Besides the journal's own I/O and parse errors,
+    /// [`std::io::ErrorKind::InvalidData`] naming the line and cell key
+    /// of the first entry that is not a run outcome or breaks its
+    /// counting invariants ([`RunOutcome::check`]): an edited or
+    /// corrupted result is refused, never restored into a table.
     pub fn with_checkpoint(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        self.checkpoint = Some(Arc::new(Checkpoint::open(path.as_ref().to_path_buf())?));
+        let checkpoint = Checkpoint::open(path.as_ref().to_path_buf())?;
+        checkpoint.validate(|payload| {
+            outcome_from_json(payload)
+                .ok_or("not a run outcome")?
+                .check()
+        })?;
+        self.checkpoint = Some(Arc::new(checkpoint));
         Ok(self)
     }
 
@@ -535,13 +635,25 @@ impl RunContext {
     pub fn run_cells(&self, cells: Vec<CellSpec>) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = vec![None; cells.len()];
 
-        // Checkpoint restores stay per-cell: a resumed sweep skips
-        // exactly the cells it completed, and a unit re-runs only its
-        // missing lanes.
-        let mut pending: Vec<(usize, CellSpec)> = Vec::new();
+        // Each cell's key is computed once, here, and serves the
+        // checkpoint lookup, the journal record and the manifest. The
+        // input's fingerprint is memoized in its shared image, so cells
+        // over one input hash it once between them. Checkpoint restores
+        // stay per-cell: a resumed sweep skips exactly the cells it
+        // completed, and a unit re-runs only its missing lanes.
+        //
+        // The rest are grouped by (stream identity, timing) in
+        // first-appearance order. The content hashes — not just the
+        // cache label — define the stream, so two cells gang only if
+        // they replay byte-identical events; timing joins the key
+        // because a unit's lanes share one scoreboard, which needs a
+        // common resolve latency.
+        let mut units: Vec<Vec<PendingCell>> = Vec::new();
+        let mut by_stream: HashMap<(String, u64, u64, Timing), usize> = HashMap::new();
         for (index, cell) in cells.into_iter().enumerate() {
+            let program_digest = program_hash(&cell.program);
+            let key = cell.key_with(program_digest);
             if let Some(checkpoint) = &self.checkpoint {
-                let key = cell.key();
                 if let Some(outcome) = checkpoint.lookup(&key).and_then(outcome_from_json) {
                     self.counters
                         .checkpoint_hits
@@ -551,21 +663,10 @@ impl RunContext {
                     continue;
                 }
             }
-            pending.push((index, cell));
-        }
-
-        // Group by (stream identity, timing) in first-appearance order.
-        // The content hashes — not just the cache label — define the
-        // stream, so two cells gang only if they replay byte-identical
-        // events; timing joins the key because a unit's lanes share one
-        // scoreboard, which needs a common resolve latency.
-        let mut units: Vec<Vec<(usize, CellSpec)>> = Vec::new();
-        let mut by_stream: HashMap<(String, u64, u64, Timing), usize> = HashMap::new();
-        for (index, cell) in pending {
             let stream = (
                 cell.cache_label.clone(),
-                program_hash(&cell.program),
-                memory_fingerprint(&cell.memory),
+                program_digest,
+                cell.memory.fingerprint(),
                 cell.timing,
             );
             if let Some(shard) = self.shard {
@@ -574,11 +675,12 @@ impl RunContext {
                     continue;
                 }
             }
+            let pending = PendingCell { index, key, cell };
             match by_stream.entry(stream) {
-                Entry::Occupied(slot) => units[*slot.get()].push((index, cell)),
+                Entry::Occupied(slot) => units[*slot.get()].push(pending),
                 Entry::Vacant(slot) => {
                     slot.insert(units.len());
-                    units.push(vec![(index, cell)]);
+                    units.push(vec![pending]);
                 }
             }
         }
@@ -611,11 +713,11 @@ impl RunContext {
     /// lanes of one harness driven by a single replay/execution pass,
     /// then journals and records each member under its own per-cell
     /// key.
-    fn run_gang_unit(&self, unit: &[(usize, CellSpec)]) -> Vec<(usize, RunOutcome)> {
+    fn run_gang_unit(&self, unit: &[PendingCell]) -> Vec<(usize, RunOutcome)> {
         let started = Instant::now();
-        let (_, lead) = &unit[0];
+        let lead = &unit[0].cell;
         let mut harness = PredictionHarness::new(build_modern(&lead.spec), lead.harness_config());
-        for (_, cell) in &unit[1..] {
+        for PendingCell { cell, .. } in &unit[1..] {
             harness.push_lane(build_modern(&cell.spec), cell.harness_config());
         }
         let (summary, source) =
@@ -623,18 +725,17 @@ impl RunContext {
         let wall_ms = started.elapsed().as_millis() as u64;
         unit.iter()
             .zip(harness.into_metrics())
-            .map(|((index, cell), metrics)| {
+            .map(|(PendingCell { index, key, cell }, metrics)| {
                 let outcome = RunOutcome { metrics, summary };
-                let key = cell.key();
                 if let Some(checkpoint) = &self.checkpoint {
-                    if let Err(e) = checkpoint.record(&key, wall_ms, &outcome_to_json(&outcome)) {
+                    if let Err(e) = checkpoint.record(key, wall_ms, &outcome_to_json(&outcome)) {
                         eprintln!(
                             "warning: checkpoint append failed for {} ({e}); cell will re-run on resume",
                             cell.label
                         );
                     }
                 }
-                self.record_manifest(cell, &key, wall_ms, source);
+                self.record_manifest(cell, key, wall_ms, source);
                 (*index, outcome)
             })
             .collect()
@@ -906,6 +1007,72 @@ mod tests {
             InsertFilter::All,
         );
         assert_ne!(base.key(), plain.key());
+    }
+
+    #[test]
+    fn outcome_check_refuses_each_broken_invariant() {
+        use predbranch_stats::Counter;
+        let ctx = RunContext::new();
+        let entries = ctx.suite(Some(1));
+        let cell = CellSpec::predicated(
+            &entries[0],
+            "test/check",
+            PredictorSpec::Gshare {
+                index_bits: 10,
+                history_bits: 10,
+            }
+            .with_sfpf(),
+            Timing::immediate(DEFAULT_LATENCY),
+            InsertFilter::All,
+        );
+        let [good] = ctx.run_cells(vec![cell])[..] else {
+            unreachable!("one cell in, one outcome out")
+        };
+        assert_eq!(good.check(), Ok(()));
+        assert!(good.metrics.region.mispredictions.get() > 0);
+        assert!(good.metrics.known_false_guard.get() > 0);
+
+        type Edit = fn(&mut RunOutcome);
+        let broken: [(&str, Edit); 10] = [
+            ("region + non_region branches", |o| {
+                o.metrics.region.branches = Counter::with_value(0)
+            }),
+            ("region + non_region mispredictions", |o| {
+                let all = o.metrics.all.mispredictions.get();
+                o.metrics.all.mispredictions = Counter::with_value(all / 4);
+            }),
+            ("more mispredictions than branches", |o| {
+                let region = o.metrics.region;
+                let extra = region.branches.get() - region.mispredictions.get() + 1;
+                o.metrics.region.mispredictions = Counter::with_value(region.branches.get() + 1);
+                let all = o.metrics.all.mispredictions.get();
+                o.metrics.all.mispredictions = Counter::with_value(all + extra);
+            }),
+            ("kfm > kf", |o| {
+                o.metrics.known_false_mispredicted =
+                    Counter::with_value(o.metrics.known_false_guard.get() + 1)
+            }),
+            ("kf > all branches", |o| {
+                o.metrics.known_false_guard = Counter::with_value(o.metrics.all.branches.get() + 1)
+            }),
+            ("all branches != summary conditional", |o| {
+                o.summary.conditional_branches += 1
+            }),
+            ("summary conditional branches > summary branches", |o| {
+                o.summary.branches = o.summary.conditional_branches - 1
+            }),
+            ("taken conditional", |o| {
+                o.summary.taken_conditional = o.summary.conditional_branches + 1
+            }),
+            ("pw != summary pred_writes", |o| o.summary.pred_writes += 1),
+            ("did not halt", |o| o.summary.halted = false),
+        ];
+        for (why, edit) in broken {
+            let mut outcome = good;
+            edit(&mut outcome);
+            let refused = outcome.check().expect_err(why);
+            assert!(refused.contains(why), "{why}: got {refused}");
+        }
     }
 
     #[test]

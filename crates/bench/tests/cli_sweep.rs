@@ -118,6 +118,68 @@ fn checkpointed_rerun_restores_instead_of_rerunning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The re-anchor repro: dividing the `"all"` mispredictions of one
+/// journaled cell by four used to turn gzip's +SFPF rate from 4.83% into
+/// 1.13% on resume, with exit 0. The entry now breaks `region +
+/// non_region = all`, so the resume is refused, naming the line and the
+/// cell key, and no table is printed.
+#[test]
+fn resume_refuses_an_edited_journal_entry() {
+    let dir = tmp_dir("tamper");
+    let (journal, manifest, tampered) = (
+        dir.join("run.ckpt"),
+        dir.join("run.json"),
+        dir.join("tampered.ckpt"),
+    );
+    let journal = journal.to_str().unwrap();
+    let manifest = manifest.to_str().unwrap();
+    experiments(&["--manifest", manifest, "--checkpoint", journal, "f3"]);
+
+    let cells = Json::parse(&std::fs::read_to_string(manifest).unwrap()).unwrap();
+    let key = cells
+        .get("cells")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|cell| cell.get("label").and_then(Json::as_str) == Some("f3/gzip/+SFPF"))
+        .and_then(|cell| cell.get("key").and_then(Json::as_str))
+        .unwrap()
+        .to_string();
+    let text = std::fs::read_to_string(journal).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let at = lines
+        .iter()
+        .rposition(|line| line.contains(&format!("\"k\":\"{key}\"")))
+        .unwrap();
+    let (head, rest) = lines[at].split_once("\"all\":[").unwrap();
+    let (pair, tail) = rest.split_once(']').unwrap();
+    let (branches, misses) = pair.split_once(',').unwrap();
+    let misses: u64 = misses.parse().unwrap();
+    lines[at] = format!("{head}\"all\":[{branches},{}]{tail}", misses / 4);
+    std::fs::write(&tampered, lines.join("\n") + "\n").unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--checkpoint", tampered.to_str().unwrap(), "f3"])
+        .output()
+        .expect("spawn experiments");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        out.stdout.is_empty(),
+        "a table was printed from a refused journal"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("line {} (cell {key})", at + 1))
+            && stderr.contains("region + non_region mispredictions != all mispredictions"),
+        "{stderr}"
+    );
+    // the untouched journal still resumes every cell
+    let resumed = experiments(&["--checkpoint", journal, "f3"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(stderr.contains("44 cells restored"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The one stderr line that starts with `prefix`.
 fn stderr_line(out: &Output, prefix: &str) -> String {
     let stderr = String::from_utf8_lossy(&out.stderr);

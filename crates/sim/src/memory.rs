@@ -1,12 +1,21 @@
 //! Word-addressed sparse data memory.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A sparse, word-addressed data memory of `i64` values.
 ///
 /// Unwritten addresses read as zero (trap-free semantics matching the
 /// rest of the ISA). Addresses are signed so base+offset arithmetic never
 /// faults.
+///
+/// A memory is a cheap-to-clone *image*: clones share one word map and
+/// the first [`store`](Memory::store) into a shared image copies it
+/// (copy-on-write), so a sweep can hand one input image to many cells
+/// and each executor pays for a private copy only once it writes. The
+/// content [`fingerprint`](Memory::fingerprint) is computed at most once
+/// per image and shared with every clone made after it.
 ///
 /// # Examples
 ///
@@ -17,10 +26,22 @@ use std::collections::HashMap;
 /// assert_eq!(mem.load(100), 0);
 /// mem.store(100, -7);
 /// assert_eq!(mem.load(100), -7);
+///
+/// let input = mem.clone();
+/// mem.store(100, 1);
+/// assert_eq!(input.load(100), -7);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Memory {
+    image: Arc<Image>,
+}
+
+/// The shared part of a [`Memory`]: the words plus the memo of their
+/// fingerprint, which every store clears.
+#[derive(Clone, Default)]
+struct Image {
     words: HashMap<i64, i64>,
+    fingerprint: OnceLock<u64>,
 }
 
 impl Memory {
@@ -49,28 +70,82 @@ impl Memory {
 
     /// Reads the word at `addr` (zero if never written).
     pub fn load(&self, addr: i64) -> i64 {
-        self.words.get(&addr).copied().unwrap_or(0)
+        self.image.words.get(&addr).copied().unwrap_or(0)
     }
 
-    /// Writes the word at `addr`.
+    /// Writes the word at `addr`, first copying the image if it is
+    /// shared with a clone.
     pub fn store(&mut self, addr: i64, value: i64) {
+        let image = Arc::make_mut(&mut self.image);
+        image.fingerprint.take();
         if value == 0 {
             // Keep the map sparse; zero is the default.
-            self.words.remove(&addr);
+            image.words.remove(&addr);
         } else {
-            self.words.insert(addr, value);
+            image.words.insert(addr, value);
         }
     }
 
     /// Number of non-zero words.
     pub fn nonzero_words(&self) -> usize {
-        self.words.len()
+        self.image.words.len()
     }
 
     /// Iterates over `(addr, value)` pairs of non-zero words in
     /// unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
-        self.words.iter().map(|(&a, &v)| (a, v))
+        self.image.words.iter().map(|(&a, &v)| (a, v))
+    }
+
+    /// A stable content hash of the image: 64-bit FNV-1a over the
+    /// non-zero `(addr, value)` pairs sorted by address, each word
+    /// absorbed as little-endian bytes. Independent of insertion order,
+    /// identical across processes and platforms, and computed at most
+    /// once per image.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use predbranch_sim::Memory;
+    ///
+    /// let a = Memory::from_slice(0, &[1, 2]);
+    /// let b: Memory = [(1, 2), (0, 1)].into_iter().collect();
+    /// assert_eq!(a.fingerprint(), b.fingerprint());
+    /// ```
+    pub fn fingerprint(&self) -> u64 {
+        *self.image.fingerprint.get_or_init(|| {
+            let mut pairs: Vec<(i64, i64)> = self.iter().collect();
+            pairs.sort_unstable();
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            let mut absorb = |word: i64| {
+                for b in word.to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            };
+            for (addr, value) in pairs {
+                absorb(addr);
+                absorb(value);
+            }
+            hash
+        })
+    }
+}
+
+impl PartialEq for Memory {
+    /// Images are equal when their words are; the fingerprint memo is
+    /// ignored.
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.image, &other.image) || self.image.words == other.image.words
+    }
+}
+
+impl Eq for Memory {}
+
+impl fmt::Debug for Memory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memory")
+            .field("words", &self.image.words)
+            .finish()
     }
 }
 
@@ -140,6 +215,22 @@ mod tests {
         let mut pairs: Vec<_> = mem.iter().collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 10), (2, 20), (3, 30)]);
+    }
+
+    #[test]
+    fn clones_share_the_image_until_a_store() {
+        let input = Memory::from_slice(0, &[1, 2, 3]);
+        let digest = input.fingerprint();
+        let mut copy = input.clone();
+        assert!(Arc::ptr_eq(&input.image, &copy.image));
+        assert_eq!(copy.fingerprint(), digest);
+        copy.store(1, 9);
+        assert!(!Arc::ptr_eq(&input.image, &copy.image));
+        assert_eq!(input.load(1), 2);
+        assert_eq!(input.fingerprint(), digest);
+        assert_ne!(copy.fingerprint(), digest);
+        copy.store(1, 2);
+        assert_eq!(copy.fingerprint(), digest);
     }
 
     #[test]

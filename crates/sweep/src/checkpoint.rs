@@ -9,9 +9,11 @@
 //! silently dropping the entries after it. Keys are expected to be
 //! content-addressed by the caller — a resumed sweep trusts an entry
 //! *only* because its key encodes everything that determines the
-//! result.
+//! result — and [`Checkpoint::validate`] lets the caller refuse a
+//! journal whose payloads break the invariants of its own result type.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -24,7 +26,9 @@ use crate::json::Json;
 #[derive(Debug)]
 pub struct Checkpoint {
     path: PathBuf,
-    completed: HashMap<String, Json>,
+    /// Payload per key, with the 1-based journal line it was loaded
+    /// from (the last line of a repeated key wins).
+    completed: HashMap<String, (usize, Json)>,
     writer: Mutex<File>,
 }
 
@@ -79,7 +83,7 @@ impl Checkpoint {
                         if let (Some(key), Some(value)) =
                             (entry.get("k").and_then(Json::as_str), entry.get("v"))
                         {
-                            completed.insert(key.to_string(), value.clone());
+                            completed.insert(key.to_string(), (index + 1, value.clone()));
                         }
                     }
                     offset += segment.len();
@@ -106,7 +110,36 @@ impl Checkpoint {
     /// The payload previously recorded for `key`, if the cell already
     /// completed in an earlier (or the current) run.
     pub fn lookup(&self, key: &str) -> Option<&Json> {
-        self.completed.get(key)
+        self.completed.get(key).map(|(_, payload)| payload)
+    }
+
+    /// Checks every loaded payload with `check`, in journal order.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] for the first payload `check`
+    /// refuses, naming its 1-based line, its key and the reason, so a
+    /// journal that parses but holds impossible results is refused
+    /// before anything is restored from it.
+    pub fn validate<E: fmt::Display>(
+        &self,
+        check: impl Fn(&Json) -> Result<(), E>,
+    ) -> io::Result<()> {
+        let mut entries: Vec<(&usize, &String, &Json)> = self
+            .completed
+            .iter()
+            .map(|(key, (line, payload))| (line, key, payload))
+            .collect();
+        entries.sort_unstable_by_key(|&(line, _, _)| *line);
+        for (line, key, payload) in entries {
+            if let Err(why) = check(payload) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("invalid journal line {line} (cell {key}): {why}"),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Entries loaded at open time.
@@ -176,6 +209,32 @@ mod tests {
         );
         assert_eq!(reopened.lookup("cell-b").unwrap().as_str(), Some("text"));
         assert!(reopened.lookup("cell-c").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn validate_names_the_first_refused_line_and_its_key() {
+        let path = tmp("validate");
+        let _ = std::fs::remove_file(&path);
+        let ckpt = Checkpoint::open(&path).unwrap();
+        ckpt.note(&Json::obj().field("note", "provenance")).unwrap();
+        for (key, value) in [("a", 1u64), ("b", 7), ("c", 9), ("a", 2)] {
+            ckpt.record(key, 1, &Json::from(value)).unwrap();
+        }
+        drop(ckpt);
+        let reopened = Checkpoint::open(&path).unwrap();
+        let small = |payload: &Json| match payload.as_u64() {
+            Some(v) if v < 5 => Ok(()),
+            _ => Err("too big"),
+        };
+        let err = reopened.validate(small).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "invalid journal line 3 (cell b): too big",
+            "line 1 is the note; line 2's `a` was superseded by line 5"
+        );
+        assert!(reopened.validate(|_| Ok::<(), &str>(())).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 

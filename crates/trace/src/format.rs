@@ -404,16 +404,11 @@ pub fn program_hash(program: &Program) -> u64 {
 }
 
 /// A stable content hash of a memory image (order-independent: pairs
-/// are sorted by address before hashing).
+/// are sorted by address before hashing). This is
+/// [`Memory::fingerprint`], memoized in the image, so hashing the same
+/// input again — or any clone of it — is free.
 pub fn memory_fingerprint(memory: &Memory) -> u64 {
-    let mut pairs: Vec<(i64, i64)> = memory.iter().collect();
-    pairs.sort_unstable();
-    let mut hash = Fnv64::new();
-    for (addr, value) in pairs {
-        hash.update_u64(addr as u64);
-        hash.update_u64(value as u64);
-    }
-    hash.digest()
+    memory.fingerprint()
 }
 
 #[cfg(test)]
