@@ -59,12 +59,13 @@ fn bench_predictors(c: &mut Criterion) {
                             predictor.on_pred_write(w);
                         }
                         Event::Branch(br) if br.conditional => {
-                            let info = BranchInfo::from_event(br);
-                            let predicted = predictor.predict(&info, &scoreboard);
+                            let knowledge = scoreboard.query(br.guard, br.index);
+                            let info = BranchInfo::at_fetch(br, knowledge);
+                            let predicted = predictor.predict(&info);
                             if predicted != br.taken {
                                 mispredicts += 1;
                             }
-                            predictor.update(&info, br.taken, &scoreboard);
+                            predictor.update(&info, br.taken);
                         }
                         Event::Branch(_) => {}
                     }

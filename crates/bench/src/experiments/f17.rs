@@ -1,11 +1,12 @@
 //! F17 — the H2P taxonomy joined against per-branch mispredictions
 //! (extension).
 //!
-//! One shared decoded pass per benchmark feeds the streaming
-//! characterizer *and* all four headline attribution harnesses, then
-//! every static conditional branch's misprediction counts are grouped
-//! by its taxonomy bucket. The join answers the question the taxonomy
-//! exists for: which class of branch does each mechanism actually fix?
+//! One shared pass per benchmark feeds the streaming characterizer
+//! *and* one harness with an attribution lane per headline
+//! configuration, then every static conditional branch's misprediction
+//! counts are grouped by its taxonomy bucket. The join answers the
+//! question the taxonomy exists for: which class of branch does each
+//! mechanism actually fix?
 //!
 //! The expected shape — and the claim the test suite pins — is that the
 //! SFPF/PGU wins concentrate in the *predicate-predictable* bucket.
@@ -14,105 +15,23 @@
 //! predicate-outcome register), never the architectural guard value the
 //! predictors are being scored against.
 
-use predbranch_characterize::{Bucket, Characterization, Characterizer};
-use predbranch_core::{build_predictor, BranchPredictor, HotBranches};
+use predbranch_characterize::Bucket;
+use predbranch_core::{build_predictor, BranchPredictor};
 use predbranch_stats::{Align, Cell, Table};
 
+use super::attribution::{attribute_suite, BucketAgg};
 use super::{headline_specs, Artifact, Scale};
-use crate::runner::{RunContext, DEFAULT_LATENCY};
+use crate::runner::RunContext;
 
-/// One benchmark's taxonomy plus each profiled static's misprediction
-/// counts under the four headline configurations (in [`headline_specs`]
-/// order) — plain data, so the per-benchmark jobs can migrate across
-/// worker threads.
-type EntryResult = (Characterization, std::collections::BTreeMap<u32, [u64; 4]>);
-
-/// Per-bucket aggregation across the suite: static count, dynamic
-/// branches, and mispredictions per headline configuration.
-#[derive(Debug, Default, Clone, Copy)]
-struct BucketAgg {
-    statics: u64,
-    branches: u64,
-    misp: [u64; 4],
-}
-
-impl BucketAgg {
-    fn misp_percent(&self, config: usize) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.misp[config] as f64 / self.branches as f64 * 100.0
-        }
-    }
-
-    /// The mechanism's win over gshare in percentage points (positive =
-    /// fewer mispredictions).
-    fn delta_pp(&self, config: usize) -> f64 {
-        self.misp_percent(0) - self.misp_percent(config)
-    }
+/// The four headline configurations, in [`headline_specs`] order.
+fn predictors() -> [Box<dyn BranchPredictor>; 4] {
+    let specs = headline_specs();
+    std::array::from_fn(|i| build_predictor(&specs[i].1))
 }
 
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
-
-    let jobs: Vec<Box<dyn FnOnce() -> EntryResult + Send>> = entries
-        .iter()
-        .map(|entry| {
-            let ctx = ctx.clone();
-            let program = entry.compiled.predicated.clone();
-            let memory = entry.eval_input();
-            let cache_label = format!("{}-pred", entry.compiled.name);
-            let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
-                let specs = headline_specs();
-                let hot =
-                    |i: usize| HotBranches::new(build_predictor(&specs[i].1), DEFAULT_LATENCY);
-                let mut characterizer = Characterizer::new();
-                let (mut h0, mut h1, mut h2, mut h3) = (hot(0), hot(1), hot(2), hot(3));
-                {
-                    // tuple sinks: the one decoded pass fans out to the
-                    // characterizer and all four attribution harnesses
-                    let mut sink = (&mut characterizer, (&mut h0, (&mut h1, (&mut h2, &mut h3))));
-                    ctx.stream_events(&cache_label, &program, &memory, &mut sink);
-                }
-                let report = characterizer.finish();
-                let hots: [HotBranches<Box<dyn BranchPredictor>>; 4] = [h0, h1, h2, h3];
-                let misp = report
-                    .branches()
-                    .iter()
-                    .map(|profile| {
-                        let mut counts = [0u64; 4];
-                        for (slot, hot) in counts.iter_mut().zip(&hots) {
-                            *slot = hot.at(profile.pc).map_or(0, |c| c.mispredictions.get());
-                        }
-                        (profile.pc, counts)
-                    })
-                    .collect();
-                (report, misp)
-            });
-            job
-        })
-        .collect();
-    let results = ctx.map_batch(jobs);
-
-    // join: every static's attribution counts land in its bucket
-    let mut agg = [BucketAgg::default(); 4];
-    let mut total = BucketAgg::default();
-    for (report, misp) in &results {
-        for profile in report.branches() {
-            let slot = Bucket::ALL
-                .iter()
-                .position(|&b| b == profile.bucket)
-                .expect("bucket in ALL");
-            for (config, &count) in misp[&profile.pc].iter().enumerate() {
-                agg[slot].misp[config] += count;
-                total.misp[config] += count;
-            }
-            agg[slot].statics += 1;
-            agg[slot].branches += profile.executions;
-            total.statics += 1;
-            total.branches += profile.executions;
-        }
-    }
+    let joined = attribute_suite(ctx, &entries, predictors);
 
     let mut deltas = Table::new(
         "F17: misprediction win over gshare (pp) by taxonomy bucket",
@@ -129,10 +48,10 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         Align::Right,
         Align::Right,
     ]);
-    for (bucket, a) in Bucket::ALL.iter().zip(&agg) {
+    for (bucket, a) in Bucket::ALL.iter().zip(&joined.buckets) {
         deltas.row(bucket_row(bucket.label(), a));
     }
-    deltas.row(bucket_row("(all)", &total));
+    deltas.row(bucket_row("(all)", &joined.total));
 
     let mut population = Table::new(
         "F17: static-branch taxonomy per benchmark",
@@ -153,7 +72,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         Align::Right,
         Align::Right,
     ]);
-    for (entry, (report, _)) in entries.iter().zip(&results) {
+    for (entry, report) in entries.iter().zip(&joined.reports) {
         let mut row = vec![
             Cell::new(entry.compiled.name),
             Cell::count(report.branches().len() as u64),
@@ -167,14 +86,14 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     vec![Artifact::Table(deltas), Artifact::Table(population)]
 }
 
-fn bucket_row(label: &str, a: &BucketAgg) -> Vec<Cell> {
+fn bucket_row(label: &str, a: &BucketAgg<4>) -> Vec<Cell> {
     vec![
         Cell::new(label),
         Cell::count(a.statics),
         Cell::count(a.branches),
         Cell::percent(a.misp_percent(0)),
-        Cell::float(a.delta_pp(1), 2),
-        Cell::float(a.delta_pp(2), 2),
-        Cell::float(a.delta_pp(3), 2),
+        Cell::float(a.delta_pp(0, 1), 2),
+        Cell::float(a.delta_pp(0, 2), 2),
+        Cell::float(a.delta_pp(0, 3), 2),
     ]
 }

@@ -1,12 +1,12 @@
 //! F19 — where the modern-tier wins land (extension): the F18
 //! configurations joined against the F17 predictability taxonomy.
 //!
-//! For each benchmark, one shared decoded pass feeds the streaming
-//! characterizer and six per-branch attribution harnesses — TAGE and
-//! the multiperspective perceptron, each bare, with +SFPF+PGU, and in
-//! its predicate-aware form (`ptage`/`pmpp`). Every static conditional
-//! branch's misprediction counts are then grouped by its taxonomy
-//! bucket.
+//! For each benchmark, one shared pass feeds the streaming
+//! characterizer and a harness with six per-branch attribution lanes —
+//! TAGE and the multiperspective perceptron, each bare, with +SFPF+PGU,
+//! and in its predicate-aware form (`ptage`/`pmpp`). Every static
+//! conditional branch's misprediction counts are then grouped by its
+//! taxonomy bucket.
 //!
 //! The claim under test — the paper's conclusion carried forward 20
 //! years — is that whatever accuracy the predicate mechanisms still buy
@@ -16,13 +16,14 @@
 //! were designed for. On the other buckets a strong history-based base
 //! has little left to gain from predicate signals.
 
-use predbranch_characterize::{Bucket, Characterization, Characterizer};
-use predbranch_core::{BranchPredictor, HotBranches};
+use predbranch_characterize::Bucket;
+use predbranch_core::BranchPredictor;
 use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_stats::{Align, Cell, Table};
 
+use super::attribution::{attribute_suite, BucketAgg};
 use super::{mpp_spec, tage_spec, Artifact, Scale};
-use crate::runner::{RunContext, DEFAULT_LATENCY, PGU_DELAY};
+use crate::runner::{RunContext, PGU_DELAY};
 
 /// The six configurations, in column order: each family's base, its
 /// +SFPF+PGU wrapping, and its predicate-aware variant.
@@ -61,98 +62,15 @@ fn predicate_variant(spec: ModernSpec) -> ModernSpec {
     }
 }
 
-/// One benchmark's taxonomy plus each profiled static's misprediction
-/// counts under the six configurations (in [`configs`] order).
-type EntryResult = (Characterization, std::collections::BTreeMap<u32, [u64; 6]>);
-
-/// Per-bucket aggregation across the suite.
-#[derive(Debug, Default, Clone, Copy)]
-struct BucketAgg {
-    statics: u64,
-    branches: u64,
-    misp: [u64; 6],
-}
-
-impl BucketAgg {
-    fn misp_percent(&self, config: usize) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.misp[config] as f64 / self.branches as f64 * 100.0
-        }
-    }
-
-    /// `config`'s win over its family base in percentage points
-    /// (positive = fewer mispredictions).
-    fn delta_pp(&self, base: usize, config: usize) -> f64 {
-        self.misp_percent(base) - self.misp_percent(config)
-    }
+/// The six configurations, built in [`configs`] order.
+fn predictors() -> [Box<dyn BranchPredictor>; 6] {
+    let specs = configs();
+    std::array::from_fn(|i| build_modern(&specs[i]))
 }
 
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
-
-    let jobs: Vec<Box<dyn FnOnce() -> EntryResult + Send>> = entries
-        .iter()
-        .map(|entry| {
-            let ctx = ctx.clone();
-            let program = entry.compiled.predicated.clone();
-            let memory = entry.eval_input();
-            let cache_label = format!("{}-pred", entry.compiled.name);
-            let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
-                let specs = configs();
-                let hot = |i: usize| HotBranches::new(build_modern(&specs[i]), DEFAULT_LATENCY);
-                let mut characterizer = Characterizer::new();
-                let (mut h0, mut h1, mut h2) = (hot(0), hot(1), hot(2));
-                let (mut h3, mut h4, mut h5) = (hot(3), hot(4), hot(5));
-                {
-                    // tuple sinks: the one decoded pass fans out to the
-                    // characterizer and all six attribution harnesses
-                    let mut sink = (
-                        &mut characterizer,
-                        (&mut h0, (&mut h1, (&mut h2, (&mut h3, (&mut h4, &mut h5))))),
-                    );
-                    ctx.stream_events(&cache_label, &program, &memory, &mut sink);
-                }
-                let report = characterizer.finish();
-                let hots: [HotBranches<Box<dyn BranchPredictor>>; 6] = [h0, h1, h2, h3, h4, h5];
-                let misp = report
-                    .branches()
-                    .iter()
-                    .map(|profile| {
-                        let mut counts = [0u64; 6];
-                        for (slot, hot) in counts.iter_mut().zip(&hots) {
-                            *slot = hot.at(profile.pc).map_or(0, |c| c.mispredictions.get());
-                        }
-                        (profile.pc, counts)
-                    })
-                    .collect();
-                (report, misp)
-            });
-            job
-        })
-        .collect();
-    let results = ctx.map_batch(jobs);
-
-    // join: every static's attribution counts land in its bucket
-    let mut agg = [BucketAgg::default(); 4];
-    let mut total = BucketAgg::default();
-    for (report, misp) in &results {
-        for profile in report.branches() {
-            let slot = Bucket::ALL
-                .iter()
-                .position(|&b| b == profile.bucket)
-                .expect("bucket in ALL");
-            for (config, &count) in misp[&profile.pc].iter().enumerate() {
-                agg[slot].misp[config] += count;
-                total.misp[config] += count;
-            }
-            agg[slot].statics += 1;
-            agg[slot].branches += profile.executions;
-            total.statics += 1;
-            total.branches += profile.executions;
-        }
-    }
+    let joined = attribute_suite(ctx, &entries, predictors);
 
     let mut table = Table::new(
         "F19: modern-tier misprediction win over each family base (pp) by taxonomy bucket",
@@ -179,15 +97,15 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         Align::Right,
         Align::Right,
     ]);
-    for (bucket, a) in Bucket::ALL.iter().zip(&agg) {
+    for (bucket, a) in Bucket::ALL.iter().zip(&joined.buckets) {
         table.row(bucket_row(bucket.label(), a));
     }
-    table.row(bucket_row("(all)", &total));
+    table.row(bucket_row("(all)", &joined.total));
 
     vec![Artifact::Table(table)]
 }
 
-fn bucket_row(label: &str, a: &BucketAgg) -> Vec<Cell> {
+fn bucket_row(label: &str, a: &BucketAgg<6>) -> Vec<Cell> {
     vec![
         Cell::new(label),
         Cell::count(a.statics),

@@ -13,6 +13,7 @@ use predbranch_stats::{Series, Table};
 
 use crate::runner::{RunContext, DEFAULT_LATENCY, PGU_DELAY};
 
+mod attribution;
 mod f1;
 mod f10;
 mod f11;

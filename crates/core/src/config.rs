@@ -402,6 +402,15 @@ impl std::str::FromStr for PredictorSpec {
                 Err(err("wrong parameter count"))
             }
         };
+        // Each parameter is checked against the range its constructor
+        // asserts, so an out-of-range spec is a typed error, not a panic.
+        let bits = |i: usize, max: u32, what: &str| -> Result<u32, ParsePredictorSpecError> {
+            if (1..=max).contains(&nums[i]) {
+                Ok(nums[i])
+            } else {
+                Err(err(&format!("{what} must be 1..={max}")))
+            }
+        };
         let mut spec = match kind {
             "nt" => {
                 want(0)?;
@@ -418,45 +427,45 @@ impl std::str::FromStr for PredictorSpec {
             "bimodal" => {
                 want(1)?;
                 PredictorSpec::Bimodal {
-                    index_bits: nums[0],
+                    index_bits: bits(0, 28, "index bits")?,
                 }
             }
             "gshare" => {
                 want(2)?;
                 PredictorSpec::Gshare {
-                    index_bits: nums[0],
-                    history_bits: nums[1],
+                    index_bits: bits(0, 28, "index bits")?,
+                    history_bits: bits(1, 64, "history bits")?,
                 }
             }
             "local" => {
                 want(3)?;
                 PredictorSpec::Local {
-                    bht_bits: nums[0],
-                    history_bits: nums[1],
-                    pattern_bits: nums[2],
+                    bht_bits: bits(0, 28, "bht bits")?,
+                    history_bits: bits(1, 64, "history bits")?,
+                    pattern_bits: bits(2, 28, "pattern bits")?,
                 }
             }
             "tournament" => {
                 want(4)?;
                 PredictorSpec::Tournament {
-                    gshare_bits: nums[0],
-                    history_bits: nums[1],
-                    bimodal_bits: nums[2],
-                    chooser_bits: nums[3],
+                    gshare_bits: bits(0, 28, "gshare bits")?,
+                    history_bits: bits(1, 64, "history bits")?,
+                    bimodal_bits: bits(2, 28, "bimodal bits")?,
+                    chooser_bits: bits(3, 28, "chooser bits")?,
                 }
             }
             "perceptron" => {
                 want(2)?;
                 PredictorSpec::Perceptron {
-                    index_bits: nums[0],
-                    history_bits: nums[1],
+                    index_bits: bits(0, 20, "index bits")?,
+                    history_bits: bits(1, 64, "history bits")?,
                 }
             }
             "agree" => {
                 want(2)?;
                 PredictorSpec::Agree {
-                    index_bits: nums[0],
-                    history_bits: nums[1],
+                    index_bits: bits(0, 28, "index bits")?,
+                    history_bits: bits(1, 64, "history bits")?,
                 }
             }
             _ => return Err(err("unknown base predictor")),
@@ -532,6 +541,20 @@ mod parse_tests {
             "gshare:a/b",
             "gshare:13/13+magic",
             "gshare:13/13+pguX",
+            // outside the ranges the constructors assert
+            "bimodal:0",
+            "bimodal:29",
+            "gshare:99/99",
+            "gshare:13/0",
+            "gshare:13/65",
+            "local:0/10/12",
+            "local:10/65/12",
+            "local:10/10/29",
+            "tournament:12/12/12/29",
+            "perceptron:0/0",
+            "perceptron:21/14",
+            "agree:40/40",
+            "agree:12/0",
         ] {
             assert!(bad.parse::<PredictorSpec>().is_err(), "accepted `{bad}`");
         }

@@ -88,17 +88,13 @@ struct InFlightBranch {
     taken: bool,
 }
 
-/// Everything a prediction lane owns *except* the predicate
-/// scoreboard: predictor, insert filter, metrics, optional timeline,
-/// and the in-flight branch window.
+/// One prediction lane: predictor, insert filter, metrics, optional
+/// timeline, and the in-flight branch window.
 ///
-/// The scoreboard is factored out because its state is a pure function
-/// of the event stream and the resolve latency — it never depends on
-/// the predictor — so every lane of a [`PredictionHarness`] advances
-/// against the one scoreboard the harness owns. Predicate writes
-/// outnumber branches in predicated code, and each one costs a
-/// scoreboard query + record, so sharing it is most of what driving
-/// many lanes from one pass saves.
+/// A lane never sees the predicate scoreboard. The scoreboard's state is
+/// a pure function of the event stream and the resolve latency, so the
+/// harness owns the one scoreboard and hands every lane the same
+/// [`BranchInfo`], guard knowledge included.
 #[derive(Debug)]
 struct Lane<P> {
     predictor: P,
@@ -127,21 +123,21 @@ impl<P: BranchPredictor> Lane<P> {
 
     /// Retires the oldest in-flight branch: `squash` (on a
     /// misprediction) then `commit`.
-    fn retire_front(&mut self, scoreboard: &PredicateScoreboard) {
+    fn retire_front(&mut self) {
         if let Some(entry) = self.window.pop_front() {
             if entry.predicted != entry.taken {
-                self.predictor.squash(&entry.info, entry.taken, scoreboard);
+                self.predictor.squash(&entry.info, entry.taken);
             }
-            self.predictor.commit(&entry.info, entry.taken, scoreboard);
+            self.predictor.commit(&entry.info, entry.taken);
         }
     }
 
     /// Retires the whole window after a misprediction (the pipeline
     /// flush that resolves the mispredicted branch).
     #[cold]
-    fn flush_window(&mut self, scoreboard: &PredicateScoreboard) {
+    fn flush_window(&mut self) {
         while !self.window.is_empty() {
-            self.retire_front(scoreboard);
+            self.retire_front();
         }
         self.flush_pending = false;
     }
@@ -150,24 +146,17 @@ impl<P: BranchPredictor> Lane<P> {
     /// `fetch_index` — or the whole window if a misprediction flush is
     /// pending.
     #[inline]
-    fn drain_ready(&mut self, fetch_index: u64, scoreboard: &PredicateScoreboard) {
+    fn drain_ready(&mut self, fetch_index: u64) {
         if self.flush_pending {
-            self.flush_window(scoreboard);
+            self.flush_window();
             return;
         }
         while let Some(entry) = self.window.front() {
             if entry.info.index + self.retire_latency > fetch_index {
                 break;
             }
-            self.retire_front(scoreboard);
+            self.retire_front();
         }
-    }
-
-    fn finish(&mut self, scoreboard: &PredicateScoreboard) {
-        while !self.window.is_empty() {
-            self.retire_front(scoreboard);
-        }
-        self.flush_pending = false;
     }
 
     #[inline]
@@ -184,30 +173,22 @@ impl<P: BranchPredictor> Lane<P> {
         }
     }
 
-    /// Processes a conditional branch. `guard_known_false` is the
-    /// scoreboard's verdict on the branch's guard at its fetch index —
-    /// hoisted to the caller, which computes it once for all lanes (the
-    /// scoreboard never mutates during branch processing).
-    fn branch(
-        &mut self,
-        event: &BranchEvent,
-        scoreboard: &PredicateScoreboard,
-        guard_known_false: bool,
-    ) {
+    /// Processes a conditional branch whose fetch-time view `info` the
+    /// harness built once for all lanes.
+    fn branch(&mut self, info: &BranchInfo, taken: bool) {
         if self.retire_latency != 0 {
-            self.drain_ready(event.index, scoreboard);
+            self.drain_ready(info.index);
         }
-        let info = BranchInfo::from_event(event);
-        let predicted = self.predictor.predict(&info, scoreboard);
-        let correct = predicted == event.taken;
+        let predicted = self.predictor.predict(info);
+        let correct = predicted == taken;
 
         self.metrics.all.record(correct);
-        if event.region.is_some() {
+        if info.region.is_some() {
             self.metrics.region.record(correct);
         } else {
             self.metrics.non_region.record(correct);
         }
-        if guard_known_false {
+        if info.guard_knowledge.is_known_false() {
             self.metrics.known_false_guard.increment();
             if !correct {
                 self.metrics.known_false_mispredicted.increment();
@@ -217,12 +198,12 @@ impl<P: BranchPredictor> Lane<P> {
         if let Some(timeline) = &mut self.timeline {
             if !correct {
                 timeline.mispredict();
-            } else if event.taken {
+            } else if taken {
                 timeline.taken_branch();
             }
         }
 
-        self.predictor.speculate(&info, predicted, scoreboard);
+        self.predictor.speculate(info, predicted);
         if self.retire_latency == 0 {
             // Immediate-update fast path: with retire latency 0 the
             // branch would be drained by the very next event (indices
@@ -233,36 +214,32 @@ impl<P: BranchPredictor> Lane<P> {
             // sequence while skipping all window bookkeeping (pinned
             // by the window_props suite at retire 0).
             if !correct {
-                self.predictor.squash(&info, event.taken, scoreboard);
+                self.predictor.squash(info, taken);
             }
-            self.predictor.commit(&info, event.taken, scoreboard);
+            self.predictor.commit(info, taken);
             return;
         }
         if self.window.len() >= WINDOW_CAPACITY {
             // bounded reorder buffer: make room by retiring the oldest
-            self.retire_front(scoreboard);
+            self.retire_front();
         }
         self.window.push_back(InFlightBranch {
-            info,
+            info: *info,
             predicted,
-            taken: event.taken,
+            taken,
         });
         if !correct {
             self.flush_pending = true;
         }
     }
 
-    /// Processes a predicate write against the *pre-write* scoreboard.
-    /// The caller observes the event on the scoreboard afterwards —
-    /// retiring first keeps the scoreboard (and any PGU insertion)
-    /// reflecting the pre-write world when older branches commit, and
-    /// [`BranchPredictor::on_pred_write`] never reads the scoreboard,
-    /// so observing after it is indistinguishable. At retire 0 the
-    /// window is provably empty (branches retire inline), so there is
-    /// nothing to drain.
-    fn pred_write(&mut self, event: &PredWriteEvent, scoreboard: &PredicateScoreboard) {
+    /// Processes a predicate write: branches whose retire latency has
+    /// elapsed commit first, so any PGU insertion lands after them. At
+    /// retire 0 the window is provably empty (branches retire inline),
+    /// so there is nothing to drain.
+    fn pred_write(&mut self, event: &PredWriteEvent) {
         if self.retire_latency != 0 {
-            self.drain_ready(event.index, scoreboard);
+            self.drain_ready(event.index);
         }
         self.metrics.pred_writes.increment();
         if self.insert.passes(event) {
@@ -272,10 +249,11 @@ impl<P: BranchPredictor> Lane<P> {
 }
 
 /// An [`EventSink`] that runs the full prediction methodology around an
-/// in-flight branch window: for each conditional branch, query the
-/// predictor at fetch (with the scoreboard reflecting resolved predicate
-/// values), let it speculate on its own prediction, and enqueue the
-/// branch in a bounded reorder buffer. The branch's outcome trains the
+/// in-flight branch window: for each conditional branch, resolve once
+/// what fetch knows about its guard (from the scoreboard of resolved
+/// predicate values), query the predictor with that view, let it
+/// speculate on its own prediction, and enqueue the branch in a
+/// bounded reorder buffer. The branch's outcome trains the
 /// predictor (`commit`, preceded by `squash` on a misprediction) only
 /// once [`Timing::retire_latency`] fetch slots have passed — with
 /// latency 0 every branch retires before the next event, which is the
@@ -303,19 +281,19 @@ impl<P: BranchPredictor> Lane<P> {
 /// predictor with its own window, insert filter, metrics, and optional
 /// timeline. [`PredictionHarness::push_lane`] adds more, so one event
 /// pass drives a whole bank of predictor configurations. All lanes
-/// share the harness's single predicate scoreboard, which is why they
-/// must agree on the resolve latency; retire latency and insert filter
-/// stay free per lane. The single-lane accessors
-/// ([`PredictionHarness::metrics`], [`PredictionHarness::predictor`],
-/// …) read the first lane.
+/// receive guard knowledge from the harness's single predicate
+/// scoreboard, which is why they must agree on the resolve latency;
+/// retire latency and insert filter stay free per lane. The single-lane
+/// accessors ([`PredictionHarness::metrics`],
+/// [`PredictionHarness::predictor`], …) read the first lane.
 ///
-/// Apart from the scoreboard — identical by construction to the one a
-/// one-lane harness builds — lanes share **no** state, so delivering
-/// each event to lane 0, then lane 1, … is observationally identical to
-/// running each lane over the full stream in its own harness: every
-/// lane's metrics and final predictor state are byte-for-byte the same.
-/// For predicate writes, every lane processes the event against the
-/// pre-write scoreboard before the write is observed once.
+/// Lanes share **no** state: a [`BranchPredictor`] has no parameter
+/// through which it could read the scoreboard, and the guard knowledge
+/// in each branch's [`BranchInfo`] is what a one-lane harness would
+/// compute. Delivering each event to lane 0, then lane 1, … is
+/// therefore observationally identical to running each lane over the
+/// full stream in its own harness: every lane's metrics and final
+/// predictor state are byte-for-byte the same.
 ///
 /// # Examples
 ///
@@ -347,7 +325,8 @@ impl<P: BranchPredictor> PredictionHarness<P> {
     /// # Panics
     ///
     /// Panics if `config.timing.resolve_latency` differs from the
-    /// harness's: every lane reads the one shared scoreboard.
+    /// harness's: every lane gets its guard knowledge from the one
+    /// shared scoreboard.
     pub fn push_lane(&mut self, predictor: P, config: HarnessConfig) {
         assert_eq!(
             self.scoreboard.resolve_latency(),
@@ -391,7 +370,7 @@ impl<P: BranchPredictor> PredictionHarness<P> {
     /// the predictors.
     pub fn finish(&mut self) {
         for lane in &mut self.lanes {
-            lane.finish(&self.scoreboard);
+            lane.flush_window();
         }
     }
 
@@ -457,22 +436,16 @@ impl<P: BranchPredictor> EventSink for PredictionHarness<P> {
             }
             return;
         }
-        // one guard query serves every lane: branch processing never
-        // mutates the scoreboard
-        let guard_known_false = self
-            .scoreboard
-            .query(event.guard, event.index)
-            .is_known_false();
+        // one guard query serves every lane
+        let info = BranchInfo::at_fetch(event, self.scoreboard.query(event.guard, event.index));
         for lane in &mut self.lanes {
-            lane.branch(event, &self.scoreboard, guard_known_false);
+            lane.branch(&info, event.taken);
         }
     }
 
     fn pred_write(&mut self, event: &PredWriteEvent) {
-        // Every lane drains and inserts against the pre-write
-        // scoreboard; the write becomes visible only afterwards.
         for lane in &mut self.lanes {
-            lane.pred_write(event, &self.scoreboard);
+            lane.pred_write(event);
         }
         self.scoreboard.observe(event);
     }
@@ -658,11 +631,11 @@ mod tests {
         for event in trace.events() {
             match event {
                 Event::Branch(b) if b.conditional => {
-                    let info = BranchInfo::from_event(b);
-                    if reference.predict(&info, &sb) != b.taken {
+                    let info = BranchInfo::at_fetch(b, sb.query(b.guard, b.index));
+                    if reference.predict(&info) != b.taken {
                         mispredictions += 1;
                     }
-                    reference.update(&info, b.taken, &sb);
+                    reference.update(&info, b.taken);
                 }
                 Event::PredWrite(w) => {
                     sb.observe(w);

@@ -2,35 +2,39 @@
 
 use std::collections::BTreeMap;
 
-use predbranch_sim::{BranchEvent, EventSink, PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::PredWriteEvent;
 
 use crate::predictor::{BranchInfo, BranchPredictor, ClassCounts};
 
-/// Attributes mispredictions to static branches: wraps a predictor like
-/// [`crate::PredictionHarness`] but keeps per-PC counters, so analyses
-/// can answer *which* branches the techniques fix.
+/// Attributes mispredictions to static branches, so analyses can answer
+/// *which* branches the techniques fix.
+///
+/// A [`BranchPredictor`] decorator: it predicts exactly like the
+/// predictor it wraps and keeps per-PC counters on the side — a branch
+/// at every `commit`, a misprediction at every `squash`. Run it as a
+/// lane of a [`crate::PredictionHarness`], which squashes every
+/// mispredicted branch exactly once, right before its commit; the
+/// per-PC counters then sum to the lane's [`crate::PredictionMetrics`].
 ///
 /// # Examples
 ///
 /// ```
-/// use predbranch_core::{Gshare, HotBranches};
+/// use predbranch_core::{Gshare, HarnessConfig, HotBranches, PredictionHarness};
 ///
-/// let hot = HotBranches::new(Gshare::new(10, 10), 8);
-/// assert!(hot.ranked().is_empty());
+/// let harness = PredictionHarness::new(HotBranches::new(Gshare::new(10, 10)), HarnessConfig::default());
+/// assert!(harness.predictor().ranked().is_empty());
 /// ```
 #[derive(Debug)]
 pub struct HotBranches<P> {
     predictor: P,
-    scoreboard: PredicateScoreboard,
     per_pc: BTreeMap<u32, ClassCounts>,
 }
 
-impl<P: BranchPredictor> HotBranches<P> {
-    /// Creates the attribution harness with the given resolve latency.
-    pub fn new(predictor: P, resolve_latency: u64) -> Self {
+impl<P> HotBranches<P> {
+    /// Wraps `predictor` with empty per-PC counters.
+    pub fn new(predictor: P) -> Self {
         HotBranches {
             predictor,
-            scoreboard: PredicateScoreboard::new(resolve_latency),
             per_pc: BTreeMap::new(),
         }
     }
@@ -59,40 +63,72 @@ impl<P: BranchPredictor> HotBranches<P> {
     }
 }
 
-impl<P: BranchPredictor> EventSink for HotBranches<P> {
-    fn branch(&mut self, event: &BranchEvent) {
-        if !event.conditional {
-            return;
-        }
-        let info = BranchInfo::from_event(event);
-        let predicted = self.predictor.predict(&info, &self.scoreboard);
-        self.per_pc
-            .entry(event.pc)
-            .or_default()
-            .record(predicted == event.taken);
-        // Attribution drives the lifecycle at retire latency 0: each
-        // branch speculates on its real outcome and commits immediately.
-        self.predictor
-            .speculate(&info, event.taken, &self.scoreboard);
-        self.predictor.commit(&info, event.taken, &self.scoreboard);
+impl<P: BranchPredictor> BranchPredictor for HotBranches<P> {
+    fn name(&self) -> String {
+        self.predictor.name()
     }
 
-    fn pred_write(&mut self, event: &PredWriteEvent) {
-        self.scoreboard.observe(event);
-        self.predictor.on_pred_write(event);
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
+        self.predictor.predict(branch)
+    }
+
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+        self.predictor.speculate(branch, predicted);
+    }
+
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
+        self.per_pc
+            .entry(branch.pc)
+            .or_default()
+            .branches
+            .increment();
+        self.predictor.commit(branch, taken);
+    }
+
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+        self.per_pc
+            .entry(branch.pc)
+            .or_default()
+            .mispredictions
+            .increment();
+        self.predictor.squash(branch, taken);
+    }
+
+    fn on_pred_write(&mut self, write: &PredWriteEvent) {
+        self.predictor.on_pred_write(write);
+    }
+
+    fn storage_bits(&self) -> usize {
+        self.predictor.storage_bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{HarnessConfig, PredictionHarness};
     use crate::predictor::StaticPredictor;
     use predbranch_isa::assemble;
     use predbranch_sim::{Executor, Memory};
 
+    /// Runs `src` with one static-not-taken attribution lane at the
+    /// default timing, checking the counters against the lane metrics.
+    fn attribute(src: &str) -> HotBranches<StaticPredictor> {
+        let program = assemble(src).unwrap();
+        let mut harness = PredictionHarness::new(
+            HotBranches::new(StaticPredictor::NotTaken),
+            HarnessConfig::default(),
+        );
+        let summary = Executor::new(&program, Memory::new()).run(&mut harness, 100_000);
+        assert!(summary.halted);
+        let (hot, metrics) = harness.into_parts();
+        assert_eq!(hot.total_mispredictions(), metrics.all.mispredictions.get());
+        hot
+    }
+
     #[test]
     fn attributes_mispredictions_to_the_right_pc() {
-        let program = assemble(
+        let hot = attribute(
             r#"
                 mov r1 = 0
             loop:
@@ -103,15 +139,12 @@ mod tests {
                 (p3) br loop        // pc 5: never taken
                 halt
             "#,
-        )
-        .unwrap();
-        let mut hot = HotBranches::new(StaticPredictor::NotTaken, 8);
-        let summary = Executor::new(&program, Memory::new()).run(&mut hot, 100_000);
-        assert!(summary.halted);
+        );
         // pc 3 mispredicts 20 times under static-not-taken; pc 5 never
         let ranked = hot.ranked();
         assert_eq!(ranked[0].0, 3);
         assert_eq!(ranked[0].1.mispredictions.get(), 20);
+        assert_eq!(ranked[0].1.branches.get(), 21);
         assert_eq!(hot.at(5).unwrap().mispredictions.get(), 0);
         assert_eq!(hot.total_mispredictions(), 20);
         assert_eq!(hot.at(999), None);
@@ -119,17 +152,14 @@ mod tests {
 
     #[test]
     fn ranking_is_stable_for_ties() {
-        let program = assemble(
+        let hot = attribute(
             r#"
                 cmp.eq p1, p2 = r0, r0
                 (p1) br a
             a:  (p1) br b
             b:  halt
             "#,
-        )
-        .unwrap();
-        let mut hot = HotBranches::new(StaticPredictor::NotTaken, 8);
-        Executor::new(&program, Memory::new()).run(&mut hot, 1_000);
+        );
         let ranked = hot.ranked();
         assert_eq!(ranked.len(), 2);
         // equal misprediction counts: ordered by pc

@@ -1,6 +1,6 @@
 //! The predictor interface and prediction metrics.
 
-use predbranch_sim::{BranchEvent, PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::{BranchEvent, PredKnowledge, PredWriteEvent};
 use predbranch_stats::{Counter, Ratio};
 
 /// The fetch-time view of a conditional branch presented to a predictor.
@@ -14,25 +14,46 @@ pub struct BranchInfo {
     pub guard: predbranch_isa::PredReg,
     /// The if-converted region the branch belongs to, if region-based.
     pub region: Option<u16>,
-    /// Dynamic fetch index, used for scoreboard timing queries.
+    /// Dynamic fetch index: orders the branch against the harness's
+    /// retire latency and against the predicate writes that PGU's delay
+    /// queue and the predicate-aware modern predictors drain by it.
     pub index: u64,
+    /// What fetch knows about the guard's value at `index` — the
+    /// harness resolves it once per branch and every lane shares it.
+    pub guard_knowledge: PredKnowledge,
 }
 
 impl BranchInfo {
-    /// Builds the fetch-time view from a dynamic branch event.
-    pub fn from_event(event: &BranchEvent) -> Self {
+    /// Builds the fetch-time view from a dynamic branch event and the
+    /// guard knowledge the fetch stage had for it.
+    pub fn at_fetch(event: &BranchEvent, guard_knowledge: PredKnowledge) -> Self {
         BranchInfo {
             pc: event.pc,
             target: event.target,
             guard: event.guard,
             region: event.region,
             index: event.index,
+            guard_knowledge,
         }
     }
 
     /// Whether the branch jumps backwards (loop-shaped).
     pub fn is_backward(&self) -> bool {
         self.target <= self.pc
+    }
+}
+
+/// A branch at `pc` and dynamic `index` with an unresolved `p1` guard,
+/// for unit tests that drive a predictor by hand.
+#[cfg(test)]
+pub(crate) fn test_branch(pc: u32, index: u64) -> BranchInfo {
+    BranchInfo {
+        pc,
+        target: 0,
+        guard: predbranch_isa::PredReg::new(1).unwrap(),
+        region: None,
+        index,
+        guard_knowledge: PredKnowledge::Unknown,
     }
 }
 
@@ -44,15 +65,16 @@ impl BranchInfo {
 /// with checkpoint/repair) instead of the older idealized
 /// train-at-predict loop:
 ///
-/// 1. **`predict`** — called at fetch, with the predicate scoreboard
-///    reflecting what has resolved by then. Must not change predictor
-///    state.
-/// 2. **`speculate`** — called immediately after `predict` (same
-///    scoreboard state) with the *predicted* direction. The predictor
-///    checkpoints whatever state the branch will later need to train or
-///    repair (history registers, BHT entries, component predictions) and
-///    shifts the predicted outcome into its speculative history, so
-///    younger branches predict against the speculated path.
+/// 1. **`predict`** — called at fetch. Everything the front end knows
+///    about the branch's guard is in [`BranchInfo::guard_knowledge`]; a
+///    predictor has no other view of predicate values than the writes
+///    it observes. Must not change predictor state.
+/// 2. **`speculate`** — called immediately after `predict` with the
+///    *predicted* direction. The predictor checkpoints whatever state
+///    the branch will later need to train or repair (history registers,
+///    BHT entries, component predictions) and shifts the predicted
+///    outcome into its speculative history, so younger branches predict
+///    against the speculated path.
 /// 3. **`commit`** — called once per speculated branch, in fetch order,
 ///    after the harness's retire latency elapses. Pops the oldest
 ///    checkpoint and trains the tables with the *fetch-time* state it
@@ -84,7 +106,7 @@ pub trait BranchPredictor {
     fn name(&self) -> String;
 
     /// Predicts the branch direction: `true` = taken.
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool;
+    fn predict(&mut self, branch: &BranchInfo) -> bool;
 
     /// Checkpoints repair state for the fetched branch and speculatively
     /// applies the predicted direction to the predictor's history.
@@ -92,33 +114,26 @@ pub trait BranchPredictor {
     /// The default is for predictors with no speculative state (static,
     /// oracle, per-PC counters): nothing to checkpoint, nothing to
     /// shift.
-    fn speculate(
-        &mut self,
-        _branch: &BranchInfo,
-        _predicted: bool,
-        _scoreboard: &PredicateScoreboard,
-    ) {
-    }
+    fn speculate(&mut self, _branch: &BranchInfo, _predicted: bool) {}
 
     /// Retires the oldest speculated branch: trains the tables on the
     /// resolved outcome using the checkpointed fetch-time state.
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard);
+    fn commit(&mut self, branch: &BranchInfo, taken: bool);
 
     /// Repairs a misprediction: restores the speculative state to the
     /// oldest checkpoint and shifts in the correct outcome. Always
     /// followed by the branch's `commit`.
     ///
     /// The default is for predictors whose `speculate` is a no-op.
-    fn squash(&mut self, _branch: &BranchInfo, _taken: bool, _scoreboard: &PredicateScoreboard) {}
+    fn squash(&mut self, _branch: &BranchInfo, _taken: bool) {}
 
     /// Trains on the resolved outcome with zero retire latency:
     /// `speculate` + `commit` back to back. This is the idealized
     /// immediate-update convenience for drivers that don't model an
-    /// in-flight window (unit tests, throughput benches,
-    /// [`crate::HotBranches`]).
-    fn update(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        self.speculate(branch, taken, scoreboard);
-        self.commit(branch, taken, scoreboard);
+    /// in-flight window (unit tests, throughput benches).
+    fn update(&mut self, branch: &BranchInfo, taken: bool) {
+        self.speculate(branch, taken);
+        self.commit(branch, taken);
     }
 
     /// Observes a predicate definition (default: ignored).
@@ -133,29 +148,24 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
         (**self).name()
     }
 
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool {
-        (**self).predict(branch, scoreboard)
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
+        (**self).predict(branch)
     }
 
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        scoreboard: &PredicateScoreboard,
-    ) {
-        (**self).speculate(branch, predicted, scoreboard)
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+        (**self).speculate(branch, predicted)
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        (**self).commit(branch, taken, scoreboard)
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
+        (**self).commit(branch, taken)
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        (**self).squash(branch, taken, scoreboard)
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+        (**self).squash(branch, taken)
     }
 
-    fn update(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        (**self).update(branch, taken, scoreboard)
+    fn update(&mut self, branch: &BranchInfo, taken: bool) {
+        (**self).update(branch, taken)
     }
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
@@ -212,7 +222,7 @@ impl BranchPredictor for StaticPredictor {
         }
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         match self {
             StaticPredictor::NotTaken => false,
             StaticPredictor::Taken => true,
@@ -220,7 +230,7 @@ impl BranchPredictor for StaticPredictor {
         }
     }
 
-    fn commit(&mut self, _: &BranchInfo, _: bool, _: &PredicateScoreboard) {}
+    fn commit(&mut self, _: &BranchInfo, _: bool) {}
 
     fn storage_bits(&self) -> usize {
         0
@@ -303,6 +313,7 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
     }
 
@@ -315,11 +326,10 @@ mod tests {
 
     #[test]
     fn static_predictors() {
-        let sb = PredicateScoreboard::new(0);
-        assert!(!StaticPredictor::NotTaken.predict(&info(0, 5), &sb));
-        assert!(StaticPredictor::Taken.predict(&info(0, 5), &sb));
-        assert!(StaticPredictor::Btfn.predict(&info(10, 0), &sb));
-        assert!(!StaticPredictor::Btfn.predict(&info(0, 10), &sb));
+        assert!(!StaticPredictor::NotTaken.predict(&info(0, 5)));
+        assert!(StaticPredictor::Taken.predict(&info(0, 5)));
+        assert!(StaticPredictor::Btfn.predict(&info(10, 0)));
+        assert!(!StaticPredictor::Btfn.predict(&info(0, 10)));
         assert_eq!(StaticPredictor::Btfn.storage_bits(), 0);
     }
 
@@ -345,11 +355,10 @@ mod tests {
 
     #[test]
     fn boxed_predictor_delegates() {
-        let sb = PredicateScoreboard::new(0);
         let mut boxed: Box<dyn BranchPredictor> = Box::new(StaticPredictor::Taken);
         assert_eq!(boxed.name(), "static-t");
-        assert!(boxed.predict(&info(0, 1), &sb));
-        boxed.update(&info(0, 1), true, &sb);
+        assert!(boxed.predict(&info(0, 1)));
+        boxed.update(&info(0, 1), true);
         assert_eq!(boxed.storage_bits(), 0);
     }
 }

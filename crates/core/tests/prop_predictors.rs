@@ -4,10 +4,13 @@
 use proptest::prelude::*;
 
 use predbranch_core::{
-    build_predictor, BranchInfo, BranchPredictor, Gshare, Pgu, PredictorSpec, SquashFilter,
+    build_predictor, BranchInfo, BranchPredictor, Gshare, HarnessConfig, HotBranches, InsertFilter,
+    Pgu, PredictionHarness, PredictionMetrics, PredictorSpec, SquashFilter, Timing,
 };
 use predbranch_isa::PredReg;
-use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::{
+    BranchEvent, Event, EventSink, PredKnowledge, PredWriteEvent, PredicateScoreboard,
+};
 
 /// One synthetic dynamic event.
 #[derive(Debug, Clone)]
@@ -85,48 +88,107 @@ fn arb_spec() -> impl Strategy<Value = PredictorSpec> {
     })
 }
 
-/// Replays a stream against a predictor, returning the misprediction
-/// count.
+/// The executor event a synthetic event stands for at dynamic `index`.
+fn event(index: usize, ev: &Ev) -> Event {
+    let index = index as u64;
+    match *ev {
+        Ev::Write { pc, preg, value } => Event::PredWrite(PredWriteEvent {
+            pc,
+            preg: PredReg::new(preg).unwrap(),
+            value,
+            index,
+            guard: PredReg::TRUE,
+            guard_value: true,
+        }),
+        Ev::Branch {
+            pc,
+            guard,
+            taken,
+            region,
+        } => Event::Branch(BranchEvent {
+            pc,
+            target: pc / 2,
+            guard: PredReg::new(guard).unwrap(),
+            taken,
+            conditional: true,
+            region: region.then_some(0),
+            index,
+        }),
+    }
+}
+
+/// Replays a stream against a predictor with immediate update,
+/// returning the misprediction count.
 fn replay(spec: &PredictorSpec, events: &[Ev], latency: u64) -> u64 {
     let mut predictor = build_predictor(spec);
     let mut scoreboard = PredicateScoreboard::new(latency);
     let mut wrong = 0;
     for (index, ev) in events.iter().enumerate() {
-        let index = index as u64;
-        match *ev {
-            Ev::Write { pc, preg, value } => {
-                let event = PredWriteEvent {
-                    pc,
-                    preg: PredReg::new(preg).unwrap(),
-                    value,
-                    index,
-                    guard: PredReg::TRUE,
-                    guard_value: true,
-                };
-                scoreboard.observe(&event);
-                predictor.on_pred_write(&event);
+        match event(index, ev) {
+            Event::PredWrite(write) => {
+                scoreboard.observe(&write);
+                predictor.on_pred_write(&write);
             }
-            Ev::Branch {
-                pc,
-                guard,
-                taken,
-                region,
-            } => {
-                let info = BranchInfo {
-                    pc,
-                    target: pc / 2,
-                    guard: PredReg::new(guard).unwrap(),
-                    region: region.then_some(0),
-                    index,
-                };
-                if predictor.predict(&info, &scoreboard) != taken {
+            Event::Branch(branch) => {
+                let knowledge = scoreboard.query(branch.guard, branch.index);
+                let info = BranchInfo::at_fetch(&branch, knowledge);
+                if predictor.predict(&info) != branch.taken {
                     wrong += 1;
                 }
-                predictor.update(&info, taken, &scoreboard);
+                predictor.update(&info, branch.taken);
             }
         }
     }
     wrong
+}
+
+/// Makes outcomes consistent with guards, as the executor does: a
+/// branch is taken iff its guard's architectural value is true.
+fn guard_consistent(raw_events: Vec<Ev>) -> Vec<Ev> {
+    let mut preds = [false; 64];
+    raw_events
+        .into_iter()
+        .map(|ev| match ev {
+            Ev::Write { pc, preg, value } => {
+                preds[preg as usize] = value;
+                Ev::Write { pc, preg, value }
+            }
+            Ev::Branch {
+                pc, guard, region, ..
+            } => Ev::Branch {
+                pc,
+                guard,
+                taken: preds[guard as usize],
+                region,
+            },
+        })
+        .collect()
+}
+
+/// A harness whose lanes all run at `timing` and insert every
+/// predicate definition.
+fn harness<P: BranchPredictor>(lanes: Vec<P>, timing: Timing) -> PredictionHarness<P> {
+    let config = HarnessConfig {
+        timing,
+        insert: InsertFilter::All,
+    };
+    let mut lanes = lanes.into_iter();
+    let mut harness = PredictionHarness::new(lanes.next().unwrap(), config.clone());
+    for lane in lanes {
+        harness.push_lane(lane, config.clone());
+    }
+    harness
+}
+
+/// Delivers a synthetic stream to a harness and retires its tail.
+fn drive<P: BranchPredictor>(
+    mut harness: PredictionHarness<P>,
+    events: &[Ev],
+) -> Vec<(P, PredictionMetrics)> {
+    for (index, ev) in events.iter().enumerate() {
+        harness.event(&event(index, ev));
+    }
+    harness.into_lanes()
 }
 
 proptest! {
@@ -173,35 +235,17 @@ proptest! {
     ) {
         let mut plain = Gshare::new(8, 8);
         let mut pgu = Pgu::new(Gshare::new(8, 8)).with_delay(u64::MAX);
-        let scoreboard = PredicateScoreboard::new(8);
         for (index, ev) in events.iter().enumerate() {
-            match *ev {
-                Ev::Write { pc, preg, value } => {
-                    let event = PredWriteEvent {
-                        pc,
-                        preg: PredReg::new(preg).unwrap(),
-                        value,
-                        index: index as u64,
-                        guard: PredReg::TRUE,
-                        guard_value: true,
-                    };
-                    plain.on_pred_write(&event);
-                    pgu.on_pred_write(&event);
+            match event(index, ev) {
+                Event::PredWrite(write) => {
+                    plain.on_pred_write(&write);
+                    pgu.on_pred_write(&write);
                 }
-                Ev::Branch { pc, guard, taken, region } => {
-                    let info = BranchInfo {
-                        pc,
-                        target: 0,
-                        guard: PredReg::new(guard).unwrap(),
-                        region: region.then_some(0),
-                        index: index as u64,
-                    };
-                    prop_assert_eq!(
-                        plain.predict(&info, &scoreboard),
-                        pgu.predict(&info, &scoreboard)
-                    );
-                    plain.update(&info, taken, &scoreboard);
-                    pgu.update(&info, taken, &scoreboard);
+                Event::Branch(branch) => {
+                    let info = BranchInfo::at_fetch(&branch, PredKnowledge::Unknown);
+                    prop_assert_eq!(plain.predict(&info), pgu.predict(&info));
+                    plain.update(&info, branch.taken);
+                    pgu.update(&info, branch.taken);
                 }
             }
         }
@@ -215,29 +259,52 @@ proptest! {
         raw_events in prop::collection::vec(arb_event(), 0..300),
         latency in 0u64..16,
     ) {
-        // make outcomes consistent with guards: a branch is taken iff its
-        // guard's architectural value is true
-        let mut preds = [false; 64];
-        preds[0] = true;
-        let events: Vec<Ev> = raw_events
-            .into_iter()
-            .map(|ev| match ev {
-                Ev::Write { pc, preg, value } => {
-                    preds[preg as usize] = value;
-                    Ev::Write { pc, preg, value }
-                }
-                Ev::Branch { pc, guard, region, .. } => Ev::Branch {
-                    pc,
-                    guard,
-                    taken: preds[guard as usize],
-                    region,
-                },
-            })
-            .collect();
+        let events = guard_consistent(raw_events);
         let oracle = PredictorSpec::OracleGuard;
         let filtered = oracle.clone().with_sfpf();
         prop_assert_eq!(replay(&oracle, &events, latency), 0);
         prop_assert_eq!(replay(&filtered, &events, latency), 0);
+    }
+
+    /// Through the harness at any resolve and retire latency, an SFPF
+    /// lane never mispredicts a branch fetched with a known-false guard,
+    /// and sharing the harness with other lanes changes none of its
+    /// metrics: the knowledge a branch carries through the in-flight
+    /// window is the fetch-time value.
+    #[test]
+    fn sfpf_lane_is_exact_on_known_false_guards_at_any_timing(
+        spec in arb_spec(),
+        raw_events in prop::collection::vec(arb_event(), 0..300),
+        resolve in 0u64..16,
+        retire in 0u64..=16,
+    ) {
+        let events = guard_consistent(raw_events);
+        let timing = Timing::new(resolve, retire);
+        let filtered = spec.clone().with_sfpf();
+        let gang = [spec.clone(), filtered.clone(), spec.with_pgu(4)].map(|s| build_predictor(&s));
+        let gang = drive(harness(gang.into(), timing), &events);
+        let solo = drive(harness(vec![build_predictor(&filtered)], timing), &events);
+        prop_assert_eq!(solo[0].1.known_false_mispredicted.get(), 0);
+        prop_assert_eq!(gang[1].1, solo[0].1);
+    }
+
+    /// Attribution lanes account for every branch and misprediction:
+    /// the per-PC counters sum to the lane's metrics at any timing.
+    #[test]
+    fn attribution_sums_to_lane_metrics(
+        specs in prop::collection::vec(arb_spec(), 1..4),
+        events in prop::collection::vec(arb_event(), 0..300),
+        resolve in 0u64..16,
+        retire in 0u64..=16,
+    ) {
+        let lanes = specs.iter().map(|spec| HotBranches::new(build_predictor(spec)));
+        let timing = Timing::new(resolve, retire);
+        for (hot, metrics) in drive(harness(lanes.collect(), timing), &events) {
+            let ranked = hot.ranked();
+            let branches: u64 = ranked.iter().map(|(_, c)| c.branches.get()).sum();
+            prop_assert_eq!(branches, metrics.all.branches.get());
+            prop_assert_eq!(hot.total_mispredictions(), metrics.all.mispredictions.get());
+        }
     }
 
     /// `storage_bits` is configuration-determined: untouched by use.
@@ -246,33 +313,9 @@ proptest! {
         spec in arb_spec(),
         events in prop::collection::vec(arb_event(), 0..50),
     ) {
-        let mut predictor = build_predictor(&spec);
-        let before = predictor.storage_bits();
-        let scoreboard = PredicateScoreboard::new(4);
-        for (index, ev) in events.iter().enumerate() {
-            match *ev {
-                Ev::Write { pc, preg, value } => predictor.on_pred_write(&PredWriteEvent {
-                    pc,
-                    preg: PredReg::new(preg).unwrap(),
-                    value,
-                    index: index as u64,
-                    guard: PredReg::TRUE,
-                    guard_value: true,
-                }),
-                Ev::Branch { pc, guard, taken, .. } => {
-                    let info = BranchInfo {
-                        pc,
-                        target: 0,
-                        guard: PredReg::new(guard).unwrap(),
-                        region: None,
-                        index: index as u64,
-                    };
-                    predictor.predict(&info, &scoreboard);
-                    predictor.update(&info, taken, &scoreboard);
-                }
-            }
-        }
-        prop_assert_eq!(predictor.storage_bits(), before);
+        let before = build_predictor(&spec).storage_bits();
+        let lanes = drive(harness(vec![build_predictor(&spec)], Timing::immediate(4)), &events);
+        prop_assert_eq!(lanes[0].0.storage_bits(), before);
     }
 }
 
@@ -280,22 +323,19 @@ proptest! {
 /// when the filter actually fires.
 #[test]
 fn filtered_counter_counts_fires_only() {
-    let mut sb = PredicateScoreboard::new(4);
     let mut filter = SquashFilter::new(Gshare::new(6, 6));
-    let p5 = PredReg::new(5).unwrap();
-    let info = BranchInfo {
+    let info = |guard_knowledge| BranchInfo {
         pc: 3,
         target: 0,
-        guard: p5,
+        guard: PredReg::new(5).unwrap(),
         region: None,
         index: 100,
+        guard_knowledge,
     };
     // in-flight guard: no fire
-    sb.record_write(p5, false, 99);
-    filter.predict(&info, &sb);
+    filter.predict(&info(PredKnowledge::Unknown));
     assert_eq!(filter.filtered_count(), 0);
     // resolved-false guard: fires
-    sb.record_write(p5, false, 0);
-    filter.predict(&info, &sb);
+    filter.predict(&info(PredKnowledge::Known(false)));
     assert_eq!(filter.filtered_count(), 1);
 }

@@ -3,10 +3,12 @@
 
 use std::fmt;
 
-use predbranch_core::{build_predictor, BranchPredictor, Pgu, PredictorSpec, SquashFilter};
+use predbranch_core::{
+    build_predictor, BranchPredictor, Pgu, PredictorSpec, SquashFilter, MAX_LONG_HISTORY,
+};
 
 use crate::mpp::Mpp;
-use crate::tage::Tage;
+use crate::tage::{Tage, MAX_TAGE_TABLES, MIN_HISTORY};
 
 /// A predictor configuration that may be a classic spec or one of the
 /// modern-tier predictors, with the same SFPF/PGU composition rules.
@@ -256,13 +258,28 @@ impl std::str::FromStr for ModernSpec {
                 Err(err("wrong parameter count"))
             }
         };
+        // Each parameter is checked against the range its constructor
+        // asserts, so an out-of-range spec is a typed error, not a panic.
+        let within = |i: usize, lo: u32, hi: u32, what: &str| {
+            if (lo..=hi).contains(&nums[i]) {
+                Ok(nums[i])
+            } else {
+                Err(err(&format!("{what} must be {lo}..={hi}")))
+            }
+        };
         let mut spec = match base_kind {
             "tage" | "ptage" => {
                 want(3)?;
+                let tables = within(0, 1, MAX_TAGE_TABLES as u32, "tage table count")?;
                 ModernSpec::Tage {
-                    tables: nums[0],
-                    index_bits: nums[1],
-                    max_history: nums[2],
+                    tables,
+                    index_bits: within(1, 1, 20, "tage index bits")?,
+                    max_history: within(
+                        2,
+                        MIN_HISTORY + tables - 1,
+                        MAX_LONG_HISTORY,
+                        "tage max history",
+                    )?,
                     predicate: base_kind == "ptage",
                 }
             }
@@ -270,7 +287,7 @@ impl std::str::FromStr for ModernSpec {
             _ => {
                 want(1)?;
                 ModernSpec::Mpp {
-                    index_bits: nums[0],
+                    index_bits: within(0, 1, 16, "mpp index bits")?,
                     predicate: base_kind == "pmpp",
                 }
             }
@@ -454,6 +471,17 @@ mod tests {
             "mpp:12+pguX",
             "gshare:13",
             "unknown:1",
+            // outside the ranges the constructors assert
+            "tage:0/0/0",
+            "tage:9/10/64",
+            "tage:4/21/64",
+            "tage:4/10/7",
+            "tage:4/10/257",
+            "mpp:0",
+            "mpp:60",
+            "pmpp:17",
+            "gshare:99/99",
+            "agree:40/40",
         ] {
             let e = bad.parse::<ModernSpec>().expect_err(bad);
             assert!(

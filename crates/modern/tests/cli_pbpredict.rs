@@ -108,3 +108,27 @@ fn bad_spec_is_rejected() {
     assert!(err.contains("bad predictor spec"), "{err}");
     fs::remove_file(src).ok();
 }
+
+#[test]
+fn out_of_range_specs_exit_1_without_panicking() {
+    let src = scratch("rangespec.s");
+    fs::write(&src, PROGRAM).unwrap();
+    for spec in [
+        "gshare:99/99",
+        "bimodal:0",
+        "perceptron:0/0",
+        "agree:40/40",
+        "tage:0/0/0",
+        "mpp:60",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
+            .args([src.to_str().unwrap(), "--predictor", spec])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{spec}: {err}");
+        assert!(err.contains("bad predictor spec"), "{spec}: {err}");
+        assert!(!err.contains("panicked"), "{spec}: {err}");
+    }
+    fs::remove_file(src).ok();
+}

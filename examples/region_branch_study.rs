@@ -72,9 +72,16 @@ fn main() {
     let bench = suite().into_iter().find(|b| b.name() == "mcf").unwrap();
     let c = compile_benchmark(&bench, &CompileOptions::default());
     let mut activity = RegionActivity::new();
-    let mut hot = HotBranches::new(build_predictor(&base), 8);
-    let mut sinks = (&mut activity, &mut hot);
+    let mut harness = PredictionHarness::new(
+        HotBranches::new(build_predictor(&base)),
+        HarnessConfig {
+            timing: Timing::immediate(8),
+            insert: InsertFilter::All,
+        },
+    );
+    let mut sinks = (&mut activity, &mut harness);
     Executor::new(&c.predicated, bench.input(EVAL_SEED)).run(&mut sinks, 8_000_000);
+    let (hot, _) = harness.into_parts();
 
     println!("mcf region activity:");
     for (region, branches, taken) in activity.iter() {
